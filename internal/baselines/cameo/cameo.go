@@ -13,6 +13,7 @@
 package cameo
 
 import (
+	"hybridmem/internal/cow"
 	"hybridmem/internal/memsys"
 	"hybridmem/internal/memtypes"
 )
@@ -48,7 +49,7 @@ type CAMEO struct {
 	pinned uint32
 	// slots[g*(k+1)+j]: location of member j of group g:
 	// 0 = the group's NM line, v>0 = FM line g*k+(v-1).
-	slots []uint8
+	slots cow.Table[uint8]
 
 	rcTags []uint64
 	rcLRU  []uint64
@@ -78,7 +79,6 @@ func New(cfg Config, nm, fm *memsys.Device) *CAMEO {
 		groups: groups,
 		k:      k,
 		pinned: fmLines - groups*k,
-		slots:  make([]uint8, uint64(groups)*uint64(k+1)),
 		rcTags: make([]uint64, cfg.RemapCacheEntries),
 		rcLRU:  make([]uint64, cfg.RemapCacheEntries),
 		rcSets: cfg.RemapCacheEntries / 16,
@@ -86,12 +86,13 @@ func New(cfg Config, nm, fm *memsys.Device) *CAMEO {
 	if c.rcSets <= 0 || c.rcSets&(c.rcSets-1) != 0 {
 		panic("cameo: remap cache sets must be a positive power of two")
 	}
-	for g := uint32(0); g < groups; g++ {
-		base := uint64(g) * uint64(k+1)
-		for j := uint32(1); j <= k; j++ {
-			c.slots[base+uint64(j)] = uint8(j)
-		}
+	// Initially member j of every group sits in slot value j: member 0
+	// in the group's NM line, member j>0 in its (j-1)-th FM line.
+	pattern := make([]uint8, k+1)
+	for j := range pattern {
+		pattern[j] = uint8(j)
 	}
+	c.slots = cow.Repeat(int(groups)*len(pattern), pattern)
 	p := uint32(1)
 	for p < c.Lines() {
 		p <<= 1
@@ -179,7 +180,7 @@ func (c *CAMEO) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memtyp
 	}
 
 	base := uint64(g) * uint64(c.k+1)
-	v := c.slots[base+uint64(j)]
+	v := c.slots.At(int(base + uint64(j)))
 	nmAddr := memtypes.Addr(g) * memtypes.Addr(lb)
 	if v == 0 {
 		c.stats.ServedNM++
@@ -210,12 +211,12 @@ func (c *CAMEO) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memtyp
 
 	// Occupant member (slot value 0) takes v; accessed member takes NM.
 	for jj := uint64(0); jj <= uint64(c.k); jj++ {
-		if c.slots[base+jj] == 0 {
-			c.slots[base+jj] = v
+		if c.slots.At(int(base+jj)) == 0 {
+			c.slots.Set(int(base+jj), v)
 			break
 		}
 	}
-	c.slots[base+uint64(j)] = 0
+	c.slots.Set(int(base+uint64(j)), 0)
 	return done
 }
 
@@ -238,7 +239,7 @@ func (c *CAMEO) CheckInvariants() bool {
 		seen := make(map[uint8]bool, c.k+1)
 		nmCount := 0
 		for j := uint64(0); j <= uint64(c.k); j++ {
-			v := c.slots[base+j]
+			v := c.slots.At(int(base + j))
 			if seen[v] {
 				return false
 			}

@@ -35,7 +35,7 @@ func TestAccessSwapsLineIntoNM(t *testing.T) {
 		if l >= c.groups*(c.k+1) {
 			continue
 		}
-		if c.slots[uint64(l%c.groups)*uint64(c.k+1)+uint64(l/c.groups)] != 0 {
+		if c.slots.At(int(uint64(l%c.groups)*uint64(c.k+1)+uint64(l/c.groups))) != 0 {
 			addr = memtypes.Addr(raw) * 64
 			break
 		}

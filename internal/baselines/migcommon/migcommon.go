@@ -6,6 +6,7 @@
 package migcommon
 
 import (
+	"hybridmem/internal/cow"
 	"hybridmem/internal/memsys"
 	"hybridmem/internal/memtypes"
 )
@@ -24,9 +25,9 @@ type Space struct {
 	NMSectors   uint32
 	FMSectors   uint32
 
-	remap   []Loc    // logical sector -> physical
-	nmOwner []uint32 // NM slot -> logical sector
-	fmOwner []uint32 // FM slot -> logical sector
+	remap   cow.Table[Loc]    // logical sector -> physical
+	nmOwner cow.Table[uint32] // NM slot -> logical sector
+	fmOwner cow.Table[uint32] // FM slot -> logical sector
 
 	nm, fm *memsys.Device
 	stats  *memtypes.MemStats
@@ -47,28 +48,72 @@ func NewSpace(sectorBytes int, nmBytes, fmBytes uint64, nm, fm *memsys.Device, s
 		SectorBytes:    sectorBytes,
 		NMSectors:      nmSec,
 		FMSectors:      fmSec,
-		remap:          make([]Loc, total),
-		nmOwner:        make([]uint32, nmSec),
-		fmOwner:        make([]uint32, fmSec),
 		nm:             nm,
 		fm:             fm,
 		stats:          stats,
 		remapTableBase: memtypes.Addr(nmBytes) - memtypes.Addr(total)*8,
 	}
-	// Seeded Fisher-Yates over physical slots, memoized per (seed,
-	// geometry) — see placement.go.
-	initialPlacement(seed, nmSec, fmSec, s.remap, s.nmOwner, s.fmOwner)
+	k := placementKey{seed, nmSec, fmSec}
+	p := cow.Shared(k, k.build)
+	s.remap, s.nmOwner, s.fmOwner = p.remap, p.nmOwner, p.fmOwner
 	return s
+}
+
+// placementKey identifies an initial placement.
+type placementKey struct {
+	seed  uint64
+	nmSec uint32
+	fmSec uint32
+}
+
+// placement is the initial remap/owner triple, shared through cow.
+type placement struct {
+	remap   cow.Table[Loc]
+	nmOwner cow.Table[uint32]
+	fmOwner cow.Table[uint32]
+}
+
+// Fork and Sum implement cow.Layout.
+func (p placement) Fork() placement {
+	return placement{p.remap.Fork(), p.nmOwner.Fork(), p.fmOwner.Fork()}
+}
+
+func (p placement) Sum() uint64 {
+	return (p.remap.Sum()*31+p.nmOwner.Sum())*31 + p.fmOwner.Sum()
+}
+
+// build computes the placement: a seeded Fisher-Yates shuffle of the
+// physical slots over the logical sectors.
+func (k placementKey) build() placement {
+	remap, r := cow.Make[Loc](int(k.nmSec) + int(k.fmSec))
+	nmOwner, nmo := cow.Make[uint32](int(k.nmSec))
+	fmOwner, fmo := cow.Make[uint32](int(k.fmSec))
+	for phys := range r {
+		if uint32(phys) < k.nmSec {
+			r[phys] = Loc{NM: true, Idx: uint32(phys)}
+		} else {
+			r[phys] = Loc{NM: false, Idx: uint32(phys) - k.nmSec}
+		}
+	}
+	cow.Shuffle(r, k.seed)
+	for logical, l := range r {
+		if l.NM {
+			nmo[l.Idx] = uint32(logical)
+		} else {
+			fmo[l.Idx] = uint32(logical)
+		}
+	}
+	return placement{remap, nmOwner, fmOwner}
 }
 
 // Sectors returns the number of logical sectors in the flat space.
 func (s *Space) Sectors() uint32 { return s.NMSectors + s.FMSectors }
 
 // Lookup returns the physical location of a logical sector.
-func (s *Space) Lookup(logical uint32) Loc { return s.remap[logical] }
+func (s *Space) Lookup(logical uint32) Loc { return s.remap.At(int(logical)) }
 
 // OwnerNM returns the logical sector stored in an NM slot.
-func (s *Space) OwnerNM(slot uint32) uint32 { return s.nmOwner[slot] }
+func (s *Space) OwnerNM(slot uint32) uint32 { return s.nmOwner.At(int(slot)) }
 
 // DataAddr returns the device byte address of a physical location.
 func (s *Space) DataAddr(l Loc) memtypes.Addr {
@@ -78,7 +123,7 @@ func (s *Space) DataAddr(l Loc) memtypes.Addr {
 // AccessData performs a 64 B data access at the sector's current location
 // and returns completion time, recording served-from counters.
 func (s *Space) AccessData(now memtypes.Tick, logical uint32, offset memtypes.Addr, write bool) memtypes.Tick {
-	l := s.remap[logical]
+	l := s.remap.At(int(logical))
 	addr := s.DataAddr(l) + offset
 	if l.NM {
 		s.stats.ServedNM++
@@ -122,11 +167,11 @@ func (s *Space) writeRemapEntry(now memtypes.Tick, logical uint32) {
 // fmSkipBytes reduces the FM->NM read (LGM's bandwidth economization for
 // lines already present in the LLC). Returns the displaced logical sector.
 func (s *Space) Swap(now memtypes.Tick, a uint32, nmSlot uint32, fmSkipBytes int) uint32 {
-	la := s.remap[a]
+	la := s.remap.At(int(a))
 	if la.NM {
 		panic("migcommon: swap source already in NM")
 	}
-	b := s.nmOwner[nmSlot]
+	b := s.nmOwner.At(int(nmSlot))
 	lb := Loc{NM: true, Idx: nmSlot}
 
 	sb := s.SectorBytes
@@ -151,10 +196,10 @@ func (s *Space) Swap(now memtypes.Tick, a uint32, nmSlot uint32, fmSkipBytes int
 	s.stats.Migrations++
 
 	// Update mappings: A takes the NM slot, B takes A's old FM slot.
-	s.remap[a] = lb
-	s.nmOwner[nmSlot] = a
-	s.remap[b] = la
-	s.fmOwner[la.Idx] = b
+	s.remap.Set(int(a), lb)
+	s.nmOwner.Set(int(nmSlot), a)
+	s.remap.Set(int(b), la)
+	s.fmOwner.Set(int(la.Idx), b)
 	s.writeRemapEntry(end, a)
 	s.writeRemapEntry(end, b)
 	return b
@@ -162,18 +207,19 @@ func (s *Space) Swap(now memtypes.Tick, a uint32, nmSlot uint32, fmSkipBytes int
 
 // CheckInvariants verifies the remap/owner bijection; used by tests.
 func (s *Space) CheckInvariants() bool {
-	seen := make(map[Loc]bool, len(s.remap))
-	for logical, l := range s.remap {
+	seen := make(map[Loc]bool, s.remap.Len())
+	for logical := range s.remap.Len() {
+		l := s.remap.At(logical)
 		if seen[l] {
 			return false
 		}
 		seen[l] = true
 		if l.NM {
-			if l.Idx >= s.NMSectors || s.nmOwner[l.Idx] != uint32(logical) {
+			if l.Idx >= s.NMSectors || s.nmOwner.At(int(l.Idx)) != uint32(logical) {
 				return false
 			}
 		} else {
-			if l.Idx >= s.FMSectors || s.fmOwner[l.Idx] != uint32(logical) {
+			if l.Idx >= s.FMSectors || s.fmOwner.At(int(l.Idx)) != uint32(logical) {
 				return false
 			}
 		}

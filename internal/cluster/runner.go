@@ -204,6 +204,18 @@ func (n *node) registerMetrics() {
 	}
 }
 
+// Connection timeouts of the runner's HTTP server: a peer that stalls
+// mid-header or parks an idle connection is cut off instead of holding a
+// goroutine forever. The idle timeout outlasts the 90 s idle-connection
+// timeout of Go's default transport, so the coordinator's client closes
+// pooled connections first. Shard RPCs have no read or write timeout:
+// a shard runs for as long as its simulations do, bounded by the
+// coordinator's RPC timeout.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // ServeNode runs a runner node until ctx is canceled: it listens for
 // shard RPCs, joins the coordinator at opts.Join, and heartbeats at the
 // coordinator's advertised cadence, rejoining whenever the coordinator
@@ -247,7 +259,12 @@ func ServeNode(ctx context.Context, opts NodeOptions) error {
 	}
 	n.exec.SimCounter = &n.sims
 	n.registerMetrics()
-	srv := &http.Server{Handler: n.mux(), BaseContext: func(net.Listener) context.Context { return ctx }}
+	srv := &http.Server{
+		Handler:           n.mux(),
+		BaseContext:       func(net.Listener) context.Context { return ctx },
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	go n.attachLoop(ctx)

@@ -85,7 +85,7 @@ func TestFreeSectorEvictionSkipsWriteback(t *testing.T) {
 	count := 0
 	var now memtypes.Tick
 	for l := uint32(0); l < h.Sectors() && count < 3*h.cfg.Assoc; l++ {
-		if !h.remap[l].nm && int(l)%h.sets == 0 {
+		if !h.remap.At(int(l)).nm && int(l)%h.sets == 0 {
 			now += 2000
 			h.Access(now, memtypes.Addr(l)*2048, true)
 			count++

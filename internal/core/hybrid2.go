@@ -27,6 +27,7 @@ import (
 	"math/bits"
 
 	"hybridmem/internal/config"
+	"hybridmem/internal/cow"
 	"hybridmem/internal/memsys"
 	"hybridmem/internal/memtypes"
 )
@@ -152,8 +153,8 @@ type Hybrid2 struct {
 	flatSectors uint32 // slots initially holding flat data
 	fmSectors   uint32
 
-	remap     []loc    // logical sector -> location
-	invRemap  []uint32 // NM slot -> logical sector (invalidLogical if none)
+	remap     cow.Table[loc]    // logical sector -> location
+	invRemap  cow.Table[uint32] // NM slot -> logical sector (invalidLogical if none)
 	slotState []uint8
 	freeNM    []uint32 // slotCacheFree slots available for 2b allocations
 	freeFM    []uint32 // FM slots with no live data (Free-FM-Stack)
@@ -233,8 +234,6 @@ func New(cfg Config, nm, fm *memsys.Device) *Hybrid2 {
 		poolSectors:    pool,
 		flatSectors:    flat,
 		fmSectors:      fmSec,
-		remap:          make([]loc, uint64(flat)+uint64(fmSec)),
-		invRemap:       make([]uint32, pool),
 		slotState:      make([]uint8, pool),
 		freeNM:         make([]uint32, 0, cacheSlots),
 		freeFM:         make([]uint32, 0, cacheSlots),
@@ -243,29 +242,76 @@ func New(cfg Config, nm, fm *memsys.Device) *Hybrid2 {
 	}
 
 	// Initial placement. Normal modes: logical sectors spread randomly
-	// over flat NM + FM proportionally to capacity (§4), memoized per
-	// (seed, geometry) in placement.go — the fill also leaves occupied NM
-	// slots in state slotFlat, the slice's zero value. CacheOnly: the
-	// flat NM region is unused and everything lives in FM at its home.
-	if cfg.Mode == CacheOnly {
-		for i := range h.invRemap {
-			h.invRemap[i] = invalidLogical
-		}
-		for l := range h.remap {
-			h.remap[l] = loc{nm: false, idx: uint32(l) % fmSec}
-		}
-	} else {
-		initialPlacement(cfg.Seed, flat, fmSec, cacheSlots, h.remap, h.invRemap)
+	// over flat NM + FM proportionally to capacity (§4); occupied NM slots
+	// stay in state slotFlat, the slice's zero value. CacheOnly: the flat
+	// NM region is unused and everything lives in FM at its home.
+	k := placementKey{flat: flat, fmSec: fmSec, cacheSlots: cacheSlots, cacheOnly: cfg.Mode == CacheOnly}
+	if !k.cacheOnly {
+		k.seed = cfg.Seed
 	}
+	p := cow.Shared(k, k.build)
+	h.remap, h.invRemap = p.remap, p.invRemap
 	// Cache slots start free, at pool indices [0, cacheSlots).
 	for s := uint32(0); s < cacheSlots; s++ {
 		h.slotState[s] = slotCacheFree
 		h.freeNM = append(h.freeNM, s)
 	}
 	if cfg.FreeSpaceAware {
-		h.unused = make([]bool, len(h.remap))
+		h.unused = make([]bool, h.remap.Len())
 	}
 	return h
+}
+
+// placementKey identifies an initial placement; the CacheOnly identity
+// placement does not depend on the seed, which stays zero.
+type placementKey struct {
+	seed       uint64
+	flat       uint32
+	fmSec      uint32
+	cacheSlots uint32
+	cacheOnly  bool
+}
+
+// placement is the initial remap/invRemap pair, shared through cow.
+type placement struct {
+	remap    cow.Table[loc]
+	invRemap cow.Table[uint32]
+}
+
+// Fork and Sum implement cow.Layout.
+func (p placement) Fork() placement { return placement{p.remap.Fork(), p.invRemap.Fork()} }
+
+func (p placement) Sum() uint64 { return p.remap.Sum()*31 + p.invRemap.Sum() }
+
+// build computes the placement: a seeded Fisher-Yates shuffle of the
+// physical locations over the logical sectors, or the CacheOnly identity
+// layout. Flat NM slots occupy pool indices [cacheSlots, pool).
+func (k placementKey) build() placement {
+	remap, r := cow.Make[loc](int(k.flat) + int(k.fmSec))
+	invRemap, inv := cow.Make[uint32](int(k.cacheSlots) + int(k.flat))
+	for i := range inv {
+		inv[i] = invalidLogical
+	}
+	if k.cacheOnly {
+		for l := range r {
+			r[l] = loc{nm: false, idx: uint32(l) % k.fmSec}
+		}
+		return placement{remap, invRemap}
+	}
+	for phys := range r {
+		if uint32(phys) < k.flat {
+			r[phys] = loc{nm: true, idx: k.cacheSlots + uint32(phys)}
+		} else {
+			r[phys] = loc{nm: false, idx: uint32(phys) - k.flat}
+		}
+	}
+	cow.Shuffle(r, k.seed)
+	for logical, l := range r {
+		if l.nm {
+			inv[l.idx] = uint32(logical)
+		}
+	}
+	return placement{remap, invRemap}
 }
 
 // Name implements MemorySystem.
@@ -275,7 +321,7 @@ func (h *Hybrid2) Name() string { return h.cfg.Mode.String() }
 func (h *Hybrid2) Stats() *memtypes.MemStats { return &h.stats }
 
 // Sectors returns the number of logical sectors the flat space exposes.
-func (h *Hybrid2) Sectors() uint32 { return uint32(len(h.remap)) }
+func (h *Hybrid2) Sectors() uint32 { return uint32(h.remap.Len()) }
 
 func (h *Hybrid2) nmAddr(slot uint32, off memtypes.Addr) memtypes.Addr {
 	return memtypes.Addr(slot)*memtypes.Addr(h.cfg.SectorBytes) + off
@@ -371,7 +417,7 @@ func (h *Hybrid2) allocateNM(now memtypes.Tick) uint32 {
 		if h.slotState[slot] != slotFlat {
 			continue // assigned to the DRAM cache: must not migrate out
 		}
-		displaced := h.invRemap[slot]
+		displaced := h.invRemap.At(int(slot))
 		fmSlot := h.popFreeFM(now)
 		if h.sectorUnused(displaced) {
 			// §3.8: the displaced sector holds no live data — remap it
@@ -384,9 +430,9 @@ func (h *Hybrid2) allocateNM(now memtypes.Tick) uint32 {
 			h.stats.NMReadBytes += uint64(h.cfg.SectorBytes)
 			h.stats.FMWriteBytes += uint64(h.cfg.SectorBytes)
 		}
-		h.remap[displaced] = loc{nm: false, idx: fmSlot}
+		h.remap.Set(int(displaced), loc{nm: false, idx: fmSlot})
 		h.metaWrite(now, displaced)
-		h.invRemap[slot] = invalidLogical
+		h.invRemap.Set(int(slot), invalidLogical)
 		h.slotState[slot] = slotCacheFree
 		return slot
 	}
@@ -465,17 +511,17 @@ func (h *Hybrid2) evictEntry(now memtypes.Tick, set int, e *xtaEntry) {
 			h.stats.FMReadBytes += uint64(lb)
 			h.stats.NMWriteBytes += uint64(lb)
 		}
-		h.remap[e.logical] = loc{nm: true, idx: e.nmPtr}
+		h.remap.Set(int(e.logical), loc{nm: true, idx: e.nmPtr})
 		h.metaWrite(now, e.logical)
 		h.pushFreeFM(now, e.fmPtr)
-		h.invRemap[e.nmPtr] = e.logical
+		h.invRemap.Set(int(e.nmPtr), e.logical)
 		h.slotState[e.nmPtr] = slotFlat
 		h.stats.Migrations++
 	} else if h.sectorUnused(e.logical) {
 		// §3.8: the sector holds no live data — drop it without
 		// write-backs.
 		h.savedCopies++
-		h.invRemap[e.nmPtr] = invalidLogical
+		h.invRemap.Set(int(e.nmPtr), invalidLogical)
 		h.slotState[e.nmPtr] = slotCacheFree
 		h.freeNM = append(h.freeNM, e.nmPtr)
 		h.stats.Evictions++
@@ -490,7 +536,7 @@ func (h *Hybrid2) evictEntry(now memtypes.Tick, set int, e *xtaEntry) {
 			h.stats.NMReadBytes += uint64(lb)
 			h.stats.FMWriteBytes += uint64(lb)
 		}
-		h.invRemap[e.nmPtr] = invalidLogical
+		h.invRemap.Set(int(e.nmPtr), invalidLogical)
 		h.slotState[e.nmPtr] = slotCacheFree
 		h.freeNM = append(h.freeNM, e.nmPtr)
 		h.stats.Evictions++
@@ -584,7 +630,7 @@ func (h *Hybrid2) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memt
 	// 2: XTA miss — read the remap table (critical path), allocate an
 	// entry for the sector.
 	now = h.metaRead(now, logical)
-	l := h.remap[logical]
+	l := h.remap.At(int(logical))
 	e := h.allocateEntry(now, set)
 	e.valid = true
 	e.logical = logical
@@ -624,7 +670,7 @@ func (h *Hybrid2) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memt
 		e.dirtyVec = 1 << line
 	}
 	h.slotState[slot] = slotCacheData
-	h.invRemap[slot] = logical
+	h.invRemap.Set(int(slot), logical)
 	h.metaWrite(now, slot)
 
 	h.stats.ServedFM++
@@ -648,7 +694,8 @@ func (h *Hybrid2) CheckInvariants() bool {
 	cacheSlots := uint32(len(h.entries))
 	seenNM := make(map[uint32]bool)
 	seenFM := make(map[uint32]bool)
-	for logical, l := range h.remap {
+	for logical := range h.remap.Len() {
+		l := h.remap.At(logical)
 		if l.nm {
 			if l.idx >= h.poolSectors || seenNM[l.idx] {
 				return false
@@ -659,7 +706,7 @@ func (h *Hybrid2) CheckInvariants() bool {
 				if st != slotFlat && st != slotFlatRef {
 					return false
 				}
-				if h.invRemap[l.idx] != uint32(logical) {
+				if h.invRemap.At(int(l.idx)) != uint32(logical) {
 					return false
 				}
 			}

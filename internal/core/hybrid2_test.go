@@ -66,7 +66,7 @@ func TestXTAHitServesFromNM(t *testing.T) {
 	// Find a logical sector initially in FM so the first access is 2b.
 	var addr memtypes.Addr
 	for l := uint32(0); l < h.Sectors(); l++ {
-		if !h.remap[l].nm {
+		if !h.remap.At(int(l)).nm {
 			addr = memtypes.Addr(l) * memtypes.Addr(h.cfg.SectorBytes)
 			break
 		}
@@ -86,7 +86,7 @@ func TestSectorInNMAdoptedWithoutTraffic(t *testing.T) {
 	h := newSmall(t, Normal)
 	var addr memtypes.Addr
 	for l := uint32(0); l < h.Sectors(); l++ {
-		if h.remap[l].nm {
+		if h.remap.At(int(l)).nm {
 			addr = memtypes.Addr(l) * memtypes.Addr(h.cfg.SectorBytes)
 			break
 		}
@@ -110,7 +110,7 @@ func TestLineMissFetchesOnlyOneLine(t *testing.T) {
 	h := newSmall(t, Normal)
 	var addr memtypes.Addr
 	for l := uint32(0); l < h.Sectors(); l++ {
-		if !h.remap[l].nm {
+		if !h.remap.At(int(l)).nm {
 			addr = memtypes.Addr(l) * memtypes.Addr(h.cfg.SectorBytes)
 			break
 		}
@@ -152,8 +152,8 @@ func TestMigrateAllMigratesOnEviction(t *testing.T) {
 	// Touch enough distinct FM sectors mapping to set 0 to overflow it.
 	touched := 0
 	for l := uint32(0); l < h.Sectors() && touched < h.cfg.Assoc+4; l++ {
-		if !h.remap[l].nm || h.slotState[h.remap[l].idx] != slotFlat {
-			if !h.remap[l].nm && int(l)%h.sets == 0 {
+		if !h.remap.At(int(l)).nm || h.slotState[h.remap.At(int(l)).idx] != slotFlat {
+			if !h.remap.At(int(l)).nm && int(l)%h.sets == 0 {
 				h.Access(memtypes.Tick(touched)*1000, memtypes.Addr(l)*memtypes.Addr(h.cfg.SectorBytes), false)
 				touched++
 			}
@@ -240,7 +240,7 @@ func TestDirtyWritebackOnEviction(t *testing.T) {
 	count := 0
 	var now memtypes.Tick
 	for l := uint32(0); l < h.Sectors() && count < 3*h.cfg.Assoc; l++ {
-		if !h.remap[l].nm && int(l)%h.sets == 0 {
+		if !h.remap.At(int(l)).nm && int(l)%h.sets == 0 {
 			now += 2000
 			h.Access(now, memtypes.Addr(l)*memtypes.Addr(h.cfg.SectorBytes), true)
 			count++
@@ -278,7 +278,7 @@ func TestAccessCounterSaturates(t *testing.T) {
 	var addr memtypes.Addr
 	var logical uint32
 	for l := uint32(0); l < h.Sectors(); l++ {
-		if !h.remap[l].nm {
+		if !h.remap.At(int(l)).nm {
 			logical = l
 			addr = memtypes.Addr(l) * memtypes.Addr(h.cfg.SectorBytes)
 			break
@@ -361,7 +361,7 @@ func TestHotDataEventuallyMigrates(t *testing.T) {
 	h := newSmall(t, Normal)
 	var hot []memtypes.Addr
 	for l := uint32(0); l < h.Sectors() && len(hot) < 64; l++ {
-		if !h.remap[l].nm {
+		if !h.remap.At(int(l)).nm {
 			hot = append(hot, memtypes.Addr(l)*memtypes.Addr(h.cfg.SectorBytes))
 		}
 	}
@@ -408,7 +408,7 @@ func TestPathStatsHotReuseMostly1a(t *testing.T) {
 	h := newSmall(t, Normal)
 	var addr memtypes.Addr
 	for l := uint32(0); l < h.Sectors(); l++ {
-		if !h.remap[l].nm {
+		if !h.remap.At(int(l)).nm {
 			addr = memtypes.Addr(l) * memtypes.Addr(h.cfg.SectorBytes)
 			break
 		}

@@ -100,6 +100,16 @@ type ServeOptions struct {
 	ClusterRPCTimeout       time.Duration
 }
 
+// Connection timeouts of the HTTP server. A client that stalls mid-header
+// (slowloris) or parks an idle keep-alive connection is cut off instead
+// of holding a goroutine forever. There is deliberately no read or write
+// timeout: /v1/replay uploads and SSE progress streams may legitimately
+// run for as long as their simulations do.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Serve runs the simulation-as-a-service HTTP server — the long-lived
 // front end over Run/RunAll/Explore/ReplayTrace documented in
 // internal/serve: content-addressed result caching, singleflight
@@ -204,7 +214,11 @@ func Serve(ctx context.Context, opts ServeOptions) error {
 	if opts.OnListen != nil {
 		opts.OnListen(ln.Addr().String())
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	served := make(chan error, 1)
 	go func() { served <- hs.Serve(ln) }()
 
