@@ -11,7 +11,7 @@ import (
 	"hybridmem/internal/memtypes"
 )
 
-// Loc is the physical location of a logical sector.
+// Loc is the physical location of a logical sector, as Lookup decodes it.
 type Loc struct {
 	NM  bool
 	Idx uint32 // slot index within the device's sector array
@@ -19,13 +19,13 @@ type Loc struct {
 
 // Space is a flat NM+FM address space with all-to-all sector remapping.
 // Logical sector s of the processor physical address space lives at
-// Remap[s]; Owner maps physical slots back to logical sectors.
+// Lookup(s); the owner tables map physical slots back to logical sectors.
 type Space struct {
 	SectorBytes int
 	NMSectors   uint32
 	FMSectors   uint32
 
-	remap   cow.Table[Loc]    // logical sector -> physical
+	remap   cow.Table[uint32] // logical sector -> packed location (see Lookup)
 	nmOwner cow.Table[uint32] // NM slot -> logical sector
 	fmOwner cow.Table[uint32] // FM slot -> logical sector
 
@@ -68,7 +68,7 @@ type placementKey struct {
 
 // placement is the initial remap/owner triple, shared through cow.
 type placement struct {
-	remap   cow.Table[Loc]
+	remap   cow.Table[uint32]
 	nmOwner cow.Table[uint32]
 	fmOwner cow.Table[uint32]
 }
@@ -83,24 +83,21 @@ func (p placement) Sum() uint64 {
 }
 
 // build computes the placement: a seeded Fisher-Yates shuffle of the
-// physical slots over the logical sectors.
+// physical slots over the logical sectors. In the packed encoding (see
+// Lookup) physical index p is stored as p itself.
 func (k placementKey) build() placement {
-	remap, r := cow.Make[Loc](int(k.nmSec) + int(k.fmSec))
+	remap, r := cow.Make[uint32](int(k.nmSec) + int(k.fmSec))
 	nmOwner, nmo := cow.Make[uint32](int(k.nmSec))
 	fmOwner, fmo := cow.Make[uint32](int(k.fmSec))
 	for phys := range r {
-		if uint32(phys) < k.nmSec {
-			r[phys] = Loc{NM: true, Idx: uint32(phys)}
-		} else {
-			r[phys] = Loc{NM: false, Idx: uint32(phys) - k.nmSec}
-		}
+		r[phys] = uint32(phys)
 	}
 	cow.Shuffle(r, k.seed)
-	for logical, l := range r {
-		if l.NM {
-			nmo[l.Idx] = uint32(logical)
+	for logical, v := range r {
+		if v < k.nmSec {
+			nmo[v] = uint32(logical)
 		} else {
-			fmo[l.Idx] = uint32(logical)
+			fmo[v-k.nmSec] = uint32(logical)
 		}
 	}
 	return placement{remap, nmOwner, fmOwner}
@@ -109,8 +106,16 @@ func (k placementKey) build() placement {
 // Sectors returns the number of logical sectors in the flat space.
 func (s *Space) Sectors() uint32 { return s.NMSectors + s.FMSectors }
 
-// Lookup returns the physical location of a logical sector.
-func (s *Space) Lookup(logical uint32) Loc { return s.remap.At(int(logical)) }
+// Lookup returns the physical location of a logical sector. A remap
+// entry packs a location into 4 bytes: a value below NMSectors is that NM
+// slot, any other value v is FM slot v - NMSectors.
+func (s *Space) Lookup(logical uint32) Loc {
+	v := s.remap.At(int(logical))
+	if v < s.NMSectors {
+		return Loc{NM: true, Idx: v}
+	}
+	return Loc{NM: false, Idx: v - s.NMSectors}
+}
 
 // OwnerNM returns the logical sector stored in an NM slot.
 func (s *Space) OwnerNM(slot uint32) uint32 { return s.nmOwner.At(int(slot)) }
@@ -123,7 +128,7 @@ func (s *Space) DataAddr(l Loc) memtypes.Addr {
 // AccessData performs a 64 B data access at the sector's current location
 // and returns completion time, recording served-from counters.
 func (s *Space) AccessData(now memtypes.Tick, logical uint32, offset memtypes.Addr, write bool) memtypes.Tick {
-	l := s.remap.At(int(logical))
+	l := s.Lookup(logical)
 	addr := s.DataAddr(l) + offset
 	if l.NM {
 		s.stats.ServedNM++
@@ -167,7 +172,7 @@ func (s *Space) writeRemapEntry(now memtypes.Tick, logical uint32) {
 // fmSkipBytes reduces the FM->NM read (LGM's bandwidth economization for
 // lines already present in the LLC). Returns the displaced logical sector.
 func (s *Space) Swap(now memtypes.Tick, a uint32, nmSlot uint32, fmSkipBytes int) uint32 {
-	la := s.remap.At(int(a))
+	va, la := s.remap.At(int(a)), s.Lookup(a)
 	if la.NM {
 		panic("migcommon: swap source already in NM")
 	}
@@ -196,32 +201,32 @@ func (s *Space) Swap(now memtypes.Tick, a uint32, nmSlot uint32, fmSkipBytes int
 	s.stats.Migrations++
 
 	// Update mappings: A takes the NM slot, B takes A's old FM slot.
-	s.remap.Set(int(a), lb)
+	s.remap.Set(int(a), nmSlot) // an NM slot packs as itself
 	s.nmOwner.Set(int(nmSlot), a)
-	s.remap.Set(int(b), la)
+	s.remap.Set(int(b), va)
 	s.fmOwner.Set(int(la.Idx), b)
 	s.writeRemapEntry(end, a)
 	s.writeRemapEntry(end, b)
 	return b
 }
 
-// CheckInvariants verifies the remap/owner bijection; used by tests.
+// CheckInvariants verifies that every packed remap entry decodes to an
+// NM or an FM slot and the remap/owner bijection; used by tests.
 func (s *Space) CheckInvariants() bool {
-	seen := make(map[Loc]bool, s.remap.Len())
+	seen := make(map[uint32]bool, s.remap.Len())
 	for logical := range s.remap.Len() {
-		l := s.remap.At(logical)
-		if seen[l] {
+		v := s.remap.At(logical)
+		if v >= s.Sectors() || seen[v] {
 			return false
 		}
-		seen[l] = true
+		seen[v] = true
+		l := s.Lookup(uint32(logical))
 		if l.NM {
-			if l.Idx >= s.NMSectors || s.nmOwner.At(int(l.Idx)) != uint32(logical) {
+			if s.nmOwner.At(int(l.Idx)) != uint32(logical) {
 				return false
 			}
-		} else {
-			if l.Idx >= s.FMSectors || s.fmOwner.At(int(l.Idx)) != uint32(logical) {
-				return false
-			}
+		} else if s.fmOwner.At(int(l.Idx)) != uint32(logical) {
+			return false
 		}
 	}
 	return true

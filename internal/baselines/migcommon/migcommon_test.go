@@ -25,6 +25,17 @@ func TestInitialPlacementBijective(t *testing.T) {
 	}
 }
 
+// TestInvariantsRejectOutOfRangeEntry corrupts one packed remap entry to
+// the first value past the last FM slot: the check must fail, not decode
+// it as an FM slot.
+func TestInvariantsRejectOutOfRangeEntry(t *testing.T) {
+	s, _ := newSpace(3)
+	s.remap.Set(5, s.Sectors())
+	if s.CheckInvariants() {
+		t.Fatalf("invariants hold with remap entry %d >= NM+FM slots %d", s.remap.At(5), s.Sectors())
+	}
+}
+
 func TestPlacementProportionalToCapacity(t *testing.T) {
 	s, _ := newSpace(5)
 	inNM := 0

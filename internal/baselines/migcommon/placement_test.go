@@ -34,7 +34,7 @@ func refPlacement(seed uint64, nmSec, fmSec uint32, remap []Loc, nmOwner, fmOwne
 	}
 }
 
-func sameTable[T comparable](t *testing.T, what string, tab cow.Table[T], want []T) {
+func sameTable(t *testing.T, what string, tab cow.Table[uint32], want []uint32) {
 	t.Helper()
 	if tab.Len() != len(want) {
 		t.Fatalf("%s: length %d, want %d", what, tab.Len(), len(want))
@@ -46,11 +46,25 @@ func sameTable[T comparable](t *testing.T, what string, tab cow.Table[T], want [
 	}
 }
 
-// TestPlacementMatchesReference pins the shared initial layouts —
-// private first sighting, pinned build and forks, and the tables a
-// NewSpace installs — to the flat reference for several seeds and
-// geometries, including lengths that are not a multiple of the page
-// size.
+// sameRemap decodes the packed remap entries of a space with nmSec NM
+// sectors and compares them with want.
+func sameRemap(t *testing.T, what string, tab cow.Table[uint32], nmSec uint32, want []Loc) {
+	t.Helper()
+	s := &Space{NMSectors: nmSec, remap: tab}
+	if tab.Len() != len(want) {
+		t.Fatalf("%s: length %d, want %d", what, tab.Len(), len(want))
+	}
+	for i, w := range want {
+		if got := s.Lookup(uint32(i)); got != w {
+			t.Fatalf("%s[%d] = %+v, want %+v", what, i, got, w)
+		}
+	}
+}
+
+// TestPlacementMatchesReference pins the shared initial layouts (forks
+// of the pinned build, and the tables a NewSpace installs) to the flat
+// reference for several seeds and geometries, including lengths that are
+// not a multiple of the page size.
 func TestPlacementMatchesReference(t *testing.T) {
 	cow.Reset()
 	defer cow.Reset()
@@ -68,13 +82,13 @@ func TestPlacementMatchesReference(t *testing.T) {
 			k := placementKey{seed, g.nmSec, g.fmSec}
 			for sighting := 1; sighting <= 3; sighting++ {
 				p := cow.Shared(k, k.build)
-				sameTable(t, "remap", p.remap, remap)
+				sameRemap(t, "remap", p.remap, g.nmSec, remap)
 				sameTable(t, "nmOwner", p.nmOwner, nmOwner)
 				sameTable(t, "fmOwner", p.fmOwner, fmOwner)
 			}
 			if g.nmSec == 512 {
 				s, _ := newSpace(seed) // 512 NM and 4096 FM sectors
-				sameTable(t, "space remap", s.remap, remap)
+				sameRemap(t, "space remap", s.remap, g.nmSec, remap)
 				sameTable(t, "space nmOwner", s.nmOwner, nmOwner)
 				sameTable(t, "space fmOwner", s.fmOwner, fmOwner)
 			}

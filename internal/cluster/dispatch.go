@@ -65,6 +65,9 @@ type dispatcher struct {
 	fatal     error
 	finished  bool
 	started   map[*runnerHandle]bool
+	// workers counts the running worker goroutines; run waits for them
+	// so no execution outlives the batch.
+	workers sync.WaitGroup
 }
 
 func newDispatcher(c *Coordinator, cfg Config, runs []Run, progress func(done, total int)) *dispatcher {
@@ -111,10 +114,17 @@ func newDispatcher(c *Coordinator, cfg Config, runs []Run, progress func(done, t
 // local fallback, when enabled), a monitor for liveness and late
 // joiners, and a wait for the last shard. With an empty pool and no
 // fallback it blocks until a runner joins or ctx cancels — queued work
-// waits for capacity, it is not an error.
+// waits for capacity, it is not an error. Before it returns it cancels
+// the executions still running (duplicates that lost to a steal, or
+// work of a failed batch) and waits for their workers, so nothing the
+// batch started — a loopback execution writing the result store, say —
+// outlives it.
 func (d *dispatcher) run(ctx context.Context) ([]RunOutcome, error) {
+	workCtx, cancelWork := context.WithCancel(ctx)
+	defer d.workers.Wait()
+	defer cancelWork()
 	d.mu.Lock()
-	d.ctx = ctx
+	d.ctx = workCtx
 	if d.progress != nil && d.doneRuns > 0 {
 		// Shards answered warm from the store settled before dispatch;
 		// surface them so progress starts from the true completed count.
@@ -196,9 +206,14 @@ func (d *dispatcher) addRunner(h *runnerHandle) {
 	}
 	d.started[h] = true
 	ctx := d.ctx
+	// Added under mu before finished is set, so run's Wait covers them.
+	d.workers.Add(d.c.opts.MaxInFlight)
 	d.mu.Unlock()
 	for i := 0; i < d.c.opts.MaxInFlight; i++ {
-		go d.worker(ctx, h)
+		go func() {
+			defer d.workers.Done()
+			d.worker(ctx, h)
+		}()
 	}
 	d.wake()
 }
@@ -379,20 +394,26 @@ func (d *dispatcher) persist(sh *shardState) {
 
 // fail settles a failed execution: requeue the shard once no execution
 // of it remains (a surviving steal may still complete it), or give up
-// on the whole batch when the shard exhausts its attempt budget.
+// on the whole batch when the shard exhausts its attempt budget. A
+// failed execution of a shard that is already done (a losing duplicate,
+// typically canceled at the end of the batch) is a dropped duplicate.
 func (d *dispatcher) fail(sh *shardState, h *runnerHandle, err error) {
 	d.mu.Lock()
 	delete(sh.execs, h)
+	if sh.done {
+		d.mu.Unlock()
+		d.c.noteSettled(h, true)
+		d.wake()
+		return
+	}
 	retried := false
-	if !sh.done {
-		sh.failed++
-		if len(sh.execs) == 0 {
-			if sh.failed >= d.c.opts.MaxAttempts {
-				d.fatal = fmt.Errorf("cluster: shard %d failed %d attempt(s), giving up: %w", sh.idx, sh.failed, err)
-			} else {
-				d.pending = append(d.pending, sh.idx)
-				retried = true
-			}
+	sh.failed++
+	if len(sh.execs) == 0 {
+		if sh.failed >= d.c.opts.MaxAttempts {
+			d.fatal = fmt.Errorf("cluster: shard %d failed %d attempt(s), giving up: %w", sh.idx, sh.failed, err)
+		} else {
+			d.pending = append(d.pending, sh.idx)
+			retried = true
 		}
 	}
 	d.mu.Unlock()

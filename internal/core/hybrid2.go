@@ -122,17 +122,18 @@ const (
 
 const invalidLogical = ^uint32(0)
 
-// xtaEntry is one eXtended Tag Array entry (Fig. 4).
+// xtaEntry is one eXtended Tag Array entry (Fig. 4). Fields are ordered
+// widest first so the entry packs into 40 bytes.
 type xtaEntry struct {
-	logical  uint32 // sector tag (full logical sector number)
-	valid    bool
-	migrated bool   // sector lives in NM (FM pointer unused)
-	nmPtr    uint32 // NM slot holding the sector's cached lines / data
-	fmPtr    uint32 // FM slot of the sector while not migrated
-	ctr      uint16 // saturating access counter (§3.7.1)
 	validVec uint64 // per-line valid flags
 	dirtyVec uint64 // per-line dirty flags
 	lru      uint64
+	logical  uint32 // sector tag (full logical sector number)
+	nmPtr    uint32 // NM slot holding the sector's cached lines / data
+	fmPtr    uint32 // FM slot of the sector while not migrated
+	ctr      uint16 // saturating access counter (§3.7.1)
+	valid    bool
+	migrated bool // sector lives in NM (FM pointer unused)
 }
 
 // Hybrid2 implements memtypes.MemorySystem.
@@ -153,7 +154,7 @@ type Hybrid2 struct {
 	flatSectors uint32 // slots initially holding flat data
 	fmSectors   uint32
 
-	remap     cow.Table[loc]    // logical sector -> location
+	remap     cow.Table[uint32] // logical sector -> packed location (see lookup)
 	invRemap  cow.Table[uint32] // NM slot -> logical sector (invalidLogical if none)
 	slotState []uint8
 	freeNM    []uint32 // slotCacheFree slots available for 2b allocations
@@ -195,9 +196,21 @@ func (p PathStats) Frac2b() float64 {
 // PathStats returns the Fig. 7 outcome counters.
 func (h *Hybrid2) PathStats() PathStats { return h.path }
 
+// loc is a decoded remap entry: a slot of NM or of FM.
 type loc struct {
 	nm  bool
 	idx uint32
+}
+
+// lookup decodes logical's remap entry. An entry packs a location into 4
+// bytes: a value below poolSectors is that NM slot, any other value v is
+// FM slot v - poolSectors.
+func (h *Hybrid2) lookup(logical uint32) loc {
+	v := h.remap.At(int(logical))
+	if v < h.poolSectors {
+		return loc{nm: true, idx: v}
+	}
+	return loc{nm: false, idx: v - h.poolSectors}
 }
 
 // New builds Hybrid2 over the two devices.
@@ -274,7 +287,7 @@ type placementKey struct {
 
 // placement is the initial remap/invRemap pair, shared through cow.
 type placement struct {
-	remap    cow.Table[loc]
+	remap    cow.Table[uint32]
 	invRemap cow.Table[uint32]
 }
 
@@ -285,30 +298,29 @@ func (p placement) Sum() uint64 { return p.remap.Sum()*31 + p.invRemap.Sum() }
 
 // build computes the placement: a seeded Fisher-Yates shuffle of the
 // physical locations over the logical sectors, or the CacheOnly identity
-// layout. Flat NM slots occupy pool indices [cacheSlots, pool).
+// layout. Flat NM slots occupy pool indices [cacheSlots, pool), so in
+// the packed encoding (see lookup) physical index p, whether a flat NM
+// slot or an FM slot, is simply cacheSlots + p.
 func (k placementKey) build() placement {
-	remap, r := cow.Make[loc](int(k.flat) + int(k.fmSec))
-	invRemap, inv := cow.Make[uint32](int(k.cacheSlots) + int(k.flat))
+	pool := k.cacheSlots + k.flat
+	remap, r := cow.Make[uint32](int(k.flat) + int(k.fmSec))
+	invRemap, inv := cow.Make[uint32](int(pool))
 	for i := range inv {
 		inv[i] = invalidLogical
 	}
 	if k.cacheOnly {
 		for l := range r {
-			r[l] = loc{nm: false, idx: uint32(l) % k.fmSec}
+			r[l] = pool + uint32(l)%k.fmSec
 		}
 		return placement{remap, invRemap}
 	}
 	for phys := range r {
-		if uint32(phys) < k.flat {
-			r[phys] = loc{nm: true, idx: k.cacheSlots + uint32(phys)}
-		} else {
-			r[phys] = loc{nm: false, idx: uint32(phys) - k.flat}
-		}
+		r[phys] = k.cacheSlots + uint32(phys)
 	}
 	cow.Shuffle(r, k.seed)
-	for logical, l := range r {
-		if l.nm {
-			inv[l.idx] = uint32(logical)
+	for logical, v := range r {
+		if v < pool {
+			inv[v] = uint32(logical)
 		}
 	}
 	return placement{remap, invRemap}
@@ -430,7 +442,7 @@ func (h *Hybrid2) allocateNM(now memtypes.Tick) uint32 {
 			h.stats.NMReadBytes += uint64(h.cfg.SectorBytes)
 			h.stats.FMWriteBytes += uint64(h.cfg.SectorBytes)
 		}
-		h.remap.Set(int(displaced), loc{nm: false, idx: fmSlot})
+		h.remap.Set(int(displaced), h.poolSectors+fmSlot)
 		h.metaWrite(now, displaced)
 		h.invRemap.Set(int(slot), invalidLogical)
 		h.slotState[slot] = slotCacheFree
@@ -511,7 +523,7 @@ func (h *Hybrid2) evictEntry(now memtypes.Tick, set int, e *xtaEntry) {
 			h.stats.FMReadBytes += uint64(lb)
 			h.stats.NMWriteBytes += uint64(lb)
 		}
-		h.remap.Set(int(e.logical), loc{nm: true, idx: e.nmPtr})
+		h.remap.Set(int(e.logical), e.nmPtr)
 		h.metaWrite(now, e.logical)
 		h.pushFreeFM(now, e.fmPtr)
 		h.invRemap.Set(int(e.nmPtr), e.logical)
@@ -630,7 +642,7 @@ func (h *Hybrid2) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memt
 	// 2: XTA miss — read the remap table (critical path), allocate an
 	// entry for the sector.
 	now = h.metaRead(now, logical)
-	l := h.remap.At(int(logical))
+	l := h.lookup(logical)
 	e := h.allocateEntry(now, set)
 	e.valid = true
 	e.logical = logical
@@ -687,6 +699,7 @@ func (h *Hybrid2) Finish(memtypes.Tick) {}
 
 // CheckInvariants verifies the remap bijection and slot-state consistency
 // (used by property tests):
+//   - every packed remap entry decodes to an NM or an FM slot
 //   - every logical sector maps to exactly one physical location
 //   - NM slots in flat states have a matching inverted-remap owner
 //   - cache-accounting identity: cacheFree + cacheData + freeFM = cache slots
@@ -695,9 +708,12 @@ func (h *Hybrid2) CheckInvariants() bool {
 	seenNM := make(map[uint32]bool)
 	seenFM := make(map[uint32]bool)
 	for logical := range h.remap.Len() {
-		l := h.remap.At(logical)
+		if h.remap.At(logical) >= h.poolSectors+h.fmSectors {
+			return false
+		}
+		l := h.lookup(uint32(logical))
 		if l.nm {
-			if l.idx >= h.poolSectors || seenNM[l.idx] {
+			if seenNM[l.idx] {
 				return false
 			}
 			seenNM[l.idx] = true
@@ -711,9 +727,6 @@ func (h *Hybrid2) CheckInvariants() bool {
 				}
 			}
 		} else {
-			if l.idx >= h.fmSectors {
-				return false
-			}
 			if h.cfg.Mode != CacheOnly {
 				if seenFM[l.idx] {
 					return false

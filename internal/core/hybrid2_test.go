@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"hybridmem/internal/memsys"
 	"hybridmem/internal/memtypes"
@@ -40,6 +41,27 @@ func TestGeometry(t *testing.T) {
 	}
 }
 
+// TestXTAEntrySize pins the packed XTA entry: the per-run entries array
+// is allocated and zeroed for every build.
+func TestXTAEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(xtaEntry{}); got != 40 {
+		t.Fatalf("xtaEntry is %d bytes, want 40", got)
+	}
+}
+
+// TestInvariantsRejectOutOfRangeEntry corrupts one packed remap entry to
+// the first value past the last FM slot, in every mode: the check must
+// fail, not decode it as an FM slot.
+func TestInvariantsRejectOutOfRangeEntry(t *testing.T) {
+	for _, mode := range []Mode{Normal, CacheOnly} {
+		h := newSmall(t, mode)
+		h.remap.Set(3, h.poolSectors+h.fmSectors)
+		if h.CheckInvariants() {
+			t.Errorf("%v: invariants hold with remap entry %d >= NM+FM slots %d", mode, h.remap.At(3), h.poolSectors+h.fmSectors)
+		}
+	}
+}
+
 func TestBadConfigPanics(t *testing.T) {
 	cases := []func(*Config){
 		func(c *Config) { c.LineBytes = 192 },            // not dividing sector
@@ -66,7 +88,7 @@ func TestXTAHitServesFromNM(t *testing.T) {
 	// Find a logical sector initially in FM so the first access is 2b.
 	var addr memtypes.Addr
 	for l := uint32(0); l < h.Sectors(); l++ {
-		if !h.remap.At(int(l)).nm {
+		if !h.lookup(l).nm {
 			addr = memtypes.Addr(l) * memtypes.Addr(h.cfg.SectorBytes)
 			break
 		}
@@ -86,7 +108,7 @@ func TestSectorInNMAdoptedWithoutTraffic(t *testing.T) {
 	h := newSmall(t, Normal)
 	var addr memtypes.Addr
 	for l := uint32(0); l < h.Sectors(); l++ {
-		if h.remap.At(int(l)).nm {
+		if h.lookup(l).nm {
 			addr = memtypes.Addr(l) * memtypes.Addr(h.cfg.SectorBytes)
 			break
 		}
@@ -110,7 +132,7 @@ func TestLineMissFetchesOnlyOneLine(t *testing.T) {
 	h := newSmall(t, Normal)
 	var addr memtypes.Addr
 	for l := uint32(0); l < h.Sectors(); l++ {
-		if !h.remap.At(int(l)).nm {
+		if !h.lookup(l).nm {
 			addr = memtypes.Addr(l) * memtypes.Addr(h.cfg.SectorBytes)
 			break
 		}
@@ -152,8 +174,8 @@ func TestMigrateAllMigratesOnEviction(t *testing.T) {
 	// Touch enough distinct FM sectors mapping to set 0 to overflow it.
 	touched := 0
 	for l := uint32(0); l < h.Sectors() && touched < h.cfg.Assoc+4; l++ {
-		if !h.remap.At(int(l)).nm || h.slotState[h.remap.At(int(l)).idx] != slotFlat {
-			if !h.remap.At(int(l)).nm && int(l)%h.sets == 0 {
+		if !h.lookup(l).nm || h.slotState[h.lookup(l).idx] != slotFlat {
+			if !h.lookup(l).nm && int(l)%h.sets == 0 {
 				h.Access(memtypes.Tick(touched)*1000, memtypes.Addr(l)*memtypes.Addr(h.cfg.SectorBytes), false)
 				touched++
 			}
@@ -240,7 +262,7 @@ func TestDirtyWritebackOnEviction(t *testing.T) {
 	count := 0
 	var now memtypes.Tick
 	for l := uint32(0); l < h.Sectors() && count < 3*h.cfg.Assoc; l++ {
-		if !h.remap.At(int(l)).nm && int(l)%h.sets == 0 {
+		if !h.lookup(l).nm && int(l)%h.sets == 0 {
 			now += 2000
 			h.Access(now, memtypes.Addr(l)*memtypes.Addr(h.cfg.SectorBytes), true)
 			count++
@@ -278,7 +300,7 @@ func TestAccessCounterSaturates(t *testing.T) {
 	var addr memtypes.Addr
 	var logical uint32
 	for l := uint32(0); l < h.Sectors(); l++ {
-		if !h.remap.At(int(l)).nm {
+		if !h.lookup(l).nm {
 			logical = l
 			addr = memtypes.Addr(l) * memtypes.Addr(h.cfg.SectorBytes)
 			break
@@ -361,7 +383,7 @@ func TestHotDataEventuallyMigrates(t *testing.T) {
 	h := newSmall(t, Normal)
 	var hot []memtypes.Addr
 	for l := uint32(0); l < h.Sectors() && len(hot) < 64; l++ {
-		if !h.remap.At(int(l)).nm {
+		if !h.lookup(l).nm {
 			hot = append(hot, memtypes.Addr(l)*memtypes.Addr(h.cfg.SectorBytes))
 		}
 	}
@@ -408,7 +430,7 @@ func TestPathStatsHotReuseMostly1a(t *testing.T) {
 	h := newSmall(t, Normal)
 	var addr memtypes.Addr
 	for l := uint32(0); l < h.Sectors(); l++ {
-		if !h.remap.At(int(l)).nm {
+		if !h.lookup(l).nm {
 			addr = memtypes.Addr(l) * memtypes.Addr(h.cfg.SectorBytes)
 			break
 		}

@@ -66,8 +66,10 @@ func samePlacement(t *testing.T, what string, p placement, remap []loc, inv []ui
 	if p.remap.Len() != len(remap) || p.invRemap.Len() != len(inv) {
 		t.Fatalf("%s: lengths %d/%d, want %d/%d", what, p.remap.Len(), p.invRemap.Len(), len(remap), len(inv))
 	}
+	// Decode the packed entries; the NM pool is the inverted table's length.
+	h := &Hybrid2{remap: p.remap, poolSectors: uint32(len(inv))}
 	for i, want := range remap {
-		if got := p.remap.At(i); got != want {
+		if got := h.lookup(uint32(i)); got != want {
 			t.Fatalf("%s: remap[%d] = %+v, want %+v", what, i, got, want)
 		}
 	}
@@ -78,10 +80,10 @@ func samePlacement(t *testing.T, what string, p placement, remap []loc, inv []ui
 	}
 }
 
-// TestPlacementMatchesReference pins the shared initial layouts —
-// private first sighting, pinned build and forks — to the flat reference
-// for several seeds and geometries, including lengths that are not a
-// multiple of the page size and the CacheOnly identity layout.
+// TestPlacementMatchesReference pins the shared initial layouts (forks
+// of the pinned build) to the flat reference for several seeds and
+// geometries, including lengths that are not a multiple of the page size
+// and the CacheOnly identity layout.
 func TestPlacementMatchesReference(t *testing.T) {
 	cow.Reset()
 	defer cow.Reset()

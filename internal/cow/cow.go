@@ -18,12 +18,16 @@
 // (CAMEO's) needs no memo: Repeat builds it in O(pages) from one period,
 // sharing the pages that have equal contents.
 //
-// The memo pins a layout only from its key's second sighting: a first
-// sighting (a one-off seed, such as a cold server request) gets a private
-// layout and pins nothing. At most memoMax keys are tracked, oldest
-// evicted first, which is enough for the repeats that matter: the same
-// placement serves every workload of a sweep or search candidate, and
-// every design variant that shares its geometry.
+// The memo pins a layout at its key's first sighting and hands every
+// caller, the first included, a fork of it; concurrent callers of a key
+// wait for its one pinning build instead of repeating it, so every key is
+// built once for as long as it stays in the memo. A one-off key, such as
+// a cold server request's seed, costs the same single build and stays
+// resident only until newer keys evict it. At most memoMax keys are
+// pinned, the least recently used evicted first, which is enough for the
+// repeats that matter: the same placement serves every workload of a
+// sweep or search candidate, and every design variant that shares its
+// geometry.
 package cow
 
 import (
@@ -164,57 +168,47 @@ type Layout[V any] interface {
 
 type entry struct {
 	key any
-	// built is made at the key's second sighting and closed once layout
-	// is set (or its build failed).
+	// built is closed once layout is set (or its build failed).
 	built  chan struct{}
 	layout interface{ Sum() uint64 }
 }
 
 var (
 	memoMu sync.Mutex
-	memo   []*entry // oldest first
+	memo   []*entry // least recently used first
 )
 
-// Shared returns the initial layout for key, which build must compute as
-// a pure function of key. The first sighting of a key returns build()
-// as is and pins nothing; the second builds the layout once and pins it,
-// and every later caller gets a fork of it. Keys must be comparable
-// values whose type identifies the family, so keys of different families
-// never collide.
+// Shared returns a fork of the initial layout for key, which build must
+// compute as a pure function of key. The first sighting of a key builds
+// and pins the layout; every later caller, including one that arrives
+// while the build is running, gets a fork of it without building. Keys
+// must be comparable values whose type identifies the family, so keys of
+// different families never collide.
 func Shared[V Layout[V]](key any, build func() V) V {
 	memoMu.Lock()
-	var e *entry
-	for _, m := range memo {
-		if m.key == key {
-			e = m
-			break
-		}
-	}
-	switch {
-	case e == nil:
+	i := slices.IndexFunc(memo, func(m *entry) bool { return m.key == key })
+	if i < 0 {
+		e := &entry{key: key, built: make(chan struct{})}
 		if len(memo) >= memoMax {
 			memo = slices.Delete(memo, 0, 1)
 		}
-		memo = append(memo, &entry{key: key})
-		memoMu.Unlock()
-		return build()
-	case e.built == nil:
-		e.built = make(chan struct{})
+		memo = append(memo, e)
 		memoMu.Unlock()
 		return pin(e, build).Fork()
 	}
-	built := e.built
+	e := memo[i]
+	memo = append(slices.Delete(memo, i, i+1), e)
 	memoMu.Unlock()
-	// Wait for the pinning build rather than repeat it: the layout is set
-	// before built is closed.
-	<-built
+	// The layout is set before built is closed.
+	<-e.built
 	if e.layout == nil {
 		return build()
 	}
 	return e.layout.(V).Fork()
 }
 
-// pin builds e's layout and publishes it.
+// pin builds e's layout and publishes it. A build that panics leaves no
+// layout, and later callers of the key build privately.
 func pin[V Layout[V]](e *entry, build func() V) V {
 	defer close(e.built)
 	v := build()
@@ -239,7 +233,7 @@ func Pinned() map[any]interface{ Sum() uint64 } {
 }
 
 // Reset forgets every key, so the next build of each is a first
-// sighting. Tests use it to obtain private reference builds.
+// sighting. Tests use it to obtain fresh reference builds.
 func Reset() {
 	memoMu.Lock()
 	memo = nil

@@ -145,10 +145,10 @@ func layoutFor(k testKey, builds *atomic.Int32) func() testLayout {
 	}
 }
 
-// TestSharedSightings pins the memo policy: a first sighting is private
-// and pins nothing, the second pins the layout, later sightings fork it
-// without building, and a key evicted by memoMax newer keys is a first
-// sighting again.
+// TestSharedSightings pins the memo policy: the first sighting builds
+// and pins the layout and, like every later sighting, gets a fork of it;
+// later sightings never build; and the memo holds memoMax keys, evicting
+// the least recently used, so an evicted key is built again.
 func TestSharedSightings(t *testing.T) {
 	Reset()
 	defer Reset()
@@ -157,23 +157,19 @@ func TestSharedSightings(t *testing.T) {
 	get := layoutFor(k, &builds)
 
 	first := get()
-	if builds.Load() != 1 || len(Pinned()) != 0 {
-		t.Fatalf("first sighting: %d builds, %d pinned; want 1 build, none pinned", builds.Load(), len(Pinned()))
-	}
-	if first.t.shared != nil {
-		t.Fatal("first sighting returned a fork, want a private table")
-	}
-	second := get()
 	pinned, ok := Pinned()[k]
-	if builds.Load() != 2 || !ok {
-		t.Fatalf("second sighting: %d builds, pinned %v; want 2 builds, pinned", builds.Load(), ok)
+	if builds.Load() != 1 || !ok {
+		t.Fatalf("first sighting: %d builds, pinned %v; want 1 build, pinned", builds.Load(), ok)
+	}
+	if first.t.shared == nil {
+		t.Fatal("first sighting returned the pinned table itself, want a fork")
 	}
 	sum := pinned.Sum()
-	third := get()
-	if builds.Load() != 2 {
-		t.Fatal("third sighting rebuilt the layout")
+	second := get()
+	if builds.Load() != 1 {
+		t.Fatal("second sighting rebuilt the layout")
 	}
-	for _, l := range []testLayout{first, second, third} {
+	for _, l := range []testLayout{first, second} {
 		l.t.Set(0, 99)
 		l.t.Set(k.n-1, 99)
 	}
@@ -183,34 +179,44 @@ func TestSharedSightings(t *testing.T) {
 	fresh := get()
 	check(t, "fork after writes", &fresh.t, k.want())
 
+	// Fill the memo with newer keys, re-sighting k before each so it
+	// stays the most recently used: least-recently-used eviction keeps
+	// it, where oldest-first eviction would not.
 	for i := range memoMax {
+		get()
 		layoutFor(testKey{n: 1, seed: i}, new(atomic.Int32))()
 	}
-	if _, ok := Pinned()[k]; ok {
-		t.Fatal("key survived memoMax newer keys")
+	if _, ok := Pinned()[k]; !ok || builds.Load() != 1 {
+		t.Fatalf("recently used key evicted (%d builds)", builds.Load())
+	}
+	for i := range memoMax {
+		layoutFor(testKey{n: 1, seed: memoMax + i}, new(atomic.Int32))()
+	}
+	if _, ok := Pinned()[k]; ok || len(Pinned()) != memoMax {
+		t.Fatalf("key survived memoMax newer keys; %d pinned", len(Pinned()))
 	}
 	get()
-	if builds.Load() != 3 || len(Pinned()) != 0 {
-		t.Fatal("evicted key was not a first sighting again")
+	if _, ok := Pinned()[k]; !ok || builds.Load() != 2 {
+		t.Fatalf("evicted key: %d builds, pinned %v; want 2 builds, pinned", builds.Load(), ok)
 	}
 }
 
-// TestSharedConcurrent runs many callers of the same keys at once (run
-// it under -race): each key is built exactly twice, once for its private
-// first sighting and once to pin, and every fork reads and writes its
-// own copy.
+// TestSharedConcurrent starts 16 callers of one key at once (run it
+// under -race): the key is built exactly once, and every caller gets a
+// fork that reads and writes its own copy.
 func TestSharedConcurrent(t *testing.T) {
 	Reset()
 	defer Reset()
-	keys := []testKey{{n: 3*pageLen + 1, seed: 3}, {n: pageLen / 2, seed: 7}}
-	builds := make([]atomic.Int32, len(keys))
+	k := testKey{n: 3*pageLen + 1, seed: 3}
+	var builds atomic.Int32
+	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := range 16 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			k := keys[g%len(keys)]
-			l := layoutFor(k, &builds[g%len(keys)])()
+			<-start
+			l := layoutFor(k, &builds)()
 			want := k.want()
 			for i := g; i < k.n; i += 97 {
 				l.t.Set(i, uint32(g))
@@ -224,14 +230,34 @@ func TestSharedConcurrent(t *testing.T) {
 			}
 		}()
 	}
+	close(start)
 	wg.Wait()
-	for i, k := range keys {
-		if n := builds[i].Load(); n != 2 {
-			t.Errorf("key %v built %d times, want 2", k, n)
-		}
-		want := testLayout{filled(k.want())}
-		if Pinned()[k].Sum() != want.Sum() {
-			t.Errorf("key %v: pinned layout changed", k)
-		}
+	if n := builds.Load(); n != 1 {
+		t.Errorf("16 concurrent callers built the layout %d times, want 1", n)
 	}
+	want := testLayout{filled(k.want())}
+	if Pinned()[k].Sum() != want.Sum() {
+		t.Error("pinned layout changed")
+	}
+}
+
+// TestSharedBuildPanics pins the failure path: a build that panics pins
+// nothing, and a later caller of the key still gets the right layout.
+func TestSharedBuildPanics(t *testing.T) {
+	Reset()
+	defer Reset()
+	k := testKey{n: 4, seed: 1}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("panicking build did not panic")
+			}
+		}()
+		Shared(k, func() testLayout { panic("bad geometry") })
+	}()
+	if len(Pinned()) != 0 {
+		t.Fatal("failed build pinned a layout")
+	}
+	l := layoutFor(k, new(atomic.Int32))()
+	check(t, "after failed build", &l.t, k.want())
 }

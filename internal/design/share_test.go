@@ -56,10 +56,10 @@ func invariantsHold(ms memtypes.MemorySystem) bool {
 }
 
 // TestSharedLayoutsIsolated builds several instances of each family that
-// shares its initial layout — the first sighting private, the rest forks
-// of a pinned layout — and runs them all concurrently in shuffled order.
-// Every result must equal the run of a private build, every instance
-// must keep its invariants, and no run may write through a fork into a
+// shares its initial layout, all forks of one pinned layout, and runs
+// them concurrently in shuffled order. Every result must equal the run
+// of a lone instance over a freshly built layout, every instance must
+// keep its invariants, and no run may write through a fork into a
 // pinned layout.
 func TestSharedLayoutsIsolated(t *testing.T) {
 	defer cow.Reset()
@@ -72,7 +72,9 @@ func TestSharedLayoutsIsolated(t *testing.T) {
 
 	want := map[string]string{}
 	for _, name := range sharedSpecs {
-		cow.Reset() // the next build is a first sighting: private
+		// A fresh layout with no other user: the reference run sees the
+		// values a private build holds even if its writes leaked into it.
+		cow.Reset()
 		in := buildInstance(t, name, sys)
 		want[name] = fmt.Sprintf("%#v", sim.Run(wl, in.ms, in.nm, in.fm, sys))
 	}
@@ -107,7 +109,7 @@ func TestSharedLayoutsIsolated(t *testing.T) {
 			for in := range jobs {
 				got := fmt.Sprintf("%#v", sim.Run(wl, in.ms, in.nm, in.fm, sys))
 				if got != want[in.name] {
-					t.Errorf("%s: shared-layout run differs from a private build:\n got %s\nwant %s", in.name, got, want[in.name])
+					t.Errorf("%s: shared-layout run differs from a lone build:\n got %s\nwant %s", in.name, got, want[in.name])
 				}
 				if !invariantsHold(in.ms) {
 					t.Errorf("%s: invariants violated after the run", in.name)

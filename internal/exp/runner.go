@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 
 	"hybridmem/internal/config"
@@ -291,22 +292,30 @@ func (r *Runner) parallelFor(n int, fn func(i int) error) error {
 // parallelForCtx runs fn(i) for every i in [0, n) across the runner's
 // worker pool, serially when one worker suffices. Errors are joined in
 // index order; one failing index never aborts the others, but a canceled
-// context stops promptly: indices not yet dispatched are never run and
-// settle as ctx.Err(), and each worker re-checks the context before
-// starting a queued index. A panic inside fn settles as that index's
-// error instead of escaping on a worker goroutine, where no caller's
-// recover could catch it.
+// context stops promptly: each worker checks the context before starting
+// an index, so indices not yet started are never run and settle as
+// ctx.Err(). A panic inside fn settles as that index's error instead of
+// escaping on a worker goroutine, where no caller's recover could catch
+// it.
 func (r *Runner) parallelForCtx(ctx context.Context, n int, fn func(i int) error) error {
-	return errors.Join(r.parallelForEach(ctx, n, fn)...)
+	return errors.Join(r.parallelForEach(ctx, n, nil, fn)...)
 }
 
-// parallelForEach is the per-index core of parallelForCtx: it returns
-// one error slot per index (nil on success) instead of joining them, so
-// callers that need per-run granularity — the cluster shard executor,
-// the DSE evaluator — can tell exactly which runs failed. Cancellation
-// and panic handling are as described on parallelForCtx; indices
-// abandoned by cancellation settle as ctx.Err().
-func (r *Runner) parallelForEach(ctx context.Context, n int, fn func(i int) error) []error {
+// parallelSpecs is parallelForCtx over a batch of runs, dispatched by
+// design (see runQueue), with one error slot per run (nil on success)
+// instead of a joined error, so callers that need per-run granularity —
+// the cluster shard executor, the DSE evaluator — can tell exactly which
+// runs failed.
+func (r *Runner) parallelSpecs(ctx context.Context, specs []RunSpec, fn func(i int) error) []error {
+	return r.parallelForEach(ctx, len(specs), func(i int) string { return specs[i].Design }, fn)
+}
+
+// parallelForEach is the per-index core of parallelForCtx and
+// parallelSpecs. With a nil designOf, workers take indices in order;
+// otherwise designOf(i) names the design of index i and workers take
+// indices as runQueue describes. Cancellation and panic handling are as
+// described on parallelForCtx.
+func (r *Runner) parallelForEach(ctx context.Context, n int, designOf func(i int) string, fn func(i int) error) []error {
 	call := func(i int) (err error) {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -326,31 +335,88 @@ func (r *Runner) parallelForEach(ctx context.Context, n int, fn func(i int) erro
 		}
 		return errs
 	}
-	jobs := make(chan int)
+	q := newRunQueue(n, designOf)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
+			last := -1
+			for {
+				i, ok := q.next(&last)
+				if !ok {
+					return
+				}
 				errs[i] = call(i)
 			}
 		}()
 	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			for j := i; j < n; j++ {
-				errs[j] = ctx.Err()
-			}
-			break feed
-		}
-	}
-	close(jobs)
 	wg.Wait()
 	return errs
+}
+
+// runQueue hands a batch's indices to workers with design affinity. Runs
+// of one design share an initial layout (cow.Shared builds it at the
+// design's first run and forks it for the rest), so a worker that frees
+// up takes, in order:
+//  1. the next queued run of the design it just ran;
+//  2. otherwise the first run of a design no worker has started;
+//  3. otherwise any queued run, so a batch of one design still uses
+//     every worker.
+//
+// Workers then build different designs' layouts in parallel instead of
+// one waiting on the other's build. Results land in input order
+// whatever order the runs execute in.
+type runQueue struct {
+	mu sync.Mutex
+	// designs holds each design's queued indices in input order, designs
+	// ordered by their first run.
+	designs [][]int
+	// started counts the designs, a prefix of designs, that some worker
+	// has started.
+	started int
+}
+
+func newRunQueue(n int, designOf func(i int) string) *runQueue {
+	q := &runQueue{}
+	id := map[string]int{}
+	for i := range n {
+		name := ""
+		if designOf != nil {
+			name = designOf(i)
+		}
+		d, ok := id[name]
+		if !ok {
+			d = len(q.designs)
+			id[name] = d
+			q.designs = append(q.designs, nil)
+		}
+		q.designs[d] = append(q.designs[d], i)
+	}
+	return q
+}
+
+// next returns the index a worker should run after one of design *last
+// (-1 before its first run) and records the index's design in *last; ok
+// is false once every index has been handed out.
+func (q *runQueue) next(last *int) (i int, ok bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	d := *last
+	switch {
+	case d >= 0 && len(q.designs[d]) > 0:
+	case q.started < len(q.designs):
+		d = q.started
+		q.started++
+	default:
+		d = slices.IndexFunc(q.designs, func(ix []int) bool { return len(ix) > 0 })
+		if d < 0 {
+			return 0, false
+		}
+	}
+	i, q.designs[d] = q.designs[d][0], q.designs[d][1:]
+	*last = d
+	return i, true
 }
 
 // ResultsParallel evaluates the given runs across the runner's worker
@@ -383,7 +449,7 @@ func (r *Runner) ResultsParallelProgress(ctx context.Context, specs []RunSpec, p
 	out := make([]sim.Result, len(specs))
 	var mu sync.Mutex
 	finished := 0
-	err := r.parallelForCtx(ctx, len(specs), func(i int) error {
+	errs := r.parallelSpecs(ctx, specs, func(i int) error {
 		var err error
 		out[i], err = r.ResultErr(specs[i].Workload, specs[i].Design, specs[i].Ratio16)
 		if progress != nil {
@@ -394,7 +460,7 @@ func (r *Runner) ResultsParallelProgress(ctx context.Context, specs []RunSpec, p
 		}
 		return err
 	})
-	return out, err
+	return out, errors.Join(errs...)
 }
 
 // ResultsParallelEach evaluates the given runs across the runner's
@@ -406,7 +472,7 @@ func (r *Runner) ResultsParallelProgress(ctx context.Context, specs []RunSpec, p
 // by cancellation settles its slot as ctx.Err() with a zero result.
 func (r *Runner) ResultsParallelEach(ctx context.Context, specs []RunSpec) ([]sim.Result, []error) {
 	out := make([]sim.Result, len(specs))
-	errs := r.parallelForEach(ctx, len(specs), func(i int) error {
+	errs := r.parallelSpecs(ctx, specs, func(i int) error {
 		var err error
 		out[i], err = r.ResultErr(specs[i].Workload, specs[i].Design, specs[i].Ratio16)
 		return err

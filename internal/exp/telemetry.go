@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -107,7 +108,7 @@ func (r *Runner) ResultsParallelSeries(ctx context.Context, specs []RunSpec, pro
 	series := make([]*telemetry.Series, len(specs))
 	var mu sync.Mutex
 	finished := 0
-	err := r.parallelForCtx(ctx, len(specs), func(i int) error {
+	errs := r.parallelSpecs(ctx, specs, func(i int) error {
 		var err error
 		out[i], series[i], err = r.resultSeries(specs[i].Workload, specs[i].Design, specs[i].Ratio16, i)
 		if progress != nil {
@@ -118,7 +119,7 @@ func (r *Runner) ResultsParallelSeries(ctx context.Context, specs []RunSpec, pro
 		}
 		return err
 	})
-	return out, series, err
+	return out, series, errors.Join(errs...)
 }
 
 // RunTraceSeries is RunTrace with epoch sampling: it replays a
