@@ -67,14 +67,15 @@ func Alloy(nmBytes uint64) Config {
 	return Config{Name: "ALLOY", NMBytes: nmBytes, LineBytes: 64, Assoc: 1, TADBytes: 72}
 }
 
-// Entry state is struct-of-arrays: one tag word and one use mask per
-// way, plus an LRU stamp array left out for direct-mapped configs. The
+// Entry state is struct-of-arrays: one tag word per way, one use mask per
+// way for lines of more than one 64 B chunk (a one-chunk line's use is
+// its fill), and an LRU stamp array left out for direct-mapped configs. The
 // valid/dirty/listed flags live in spare high bits of the tag word —
 // physical addresses fit well below 2^58 line-granularity tags — so a
-// probe walks a compact tag vector and construction zeroes roughly half
-// the memory of the old 32-byte array-of-structs entries. That zeroing
-// is a first-order cost: a 64 B-line cache over scaled NM has millions
-// of entries and sweeps construct one per (design, workload) run.
+// probe walks a compact tag vector. A 64 B-line cache over scaled NM has
+// millions of entries and a short run fills a few thousand of them, so
+// zeroing the arrays for every run would dominate it; Reset instead
+// clears only the entries the touched list names and keeps the arrays.
 const (
 	tagValid  = 1 << 63
 	tagDirty  = 1 << 62
@@ -89,7 +90,7 @@ type Cache struct {
 
 	tags []uint64 // sets*assoc, indexed set*assoc+way; flags in high bits
 	lrus []uint64 // nil when assoc == 1: no replacement choice to order
-	used []uint64 // per-64B chunk touch bits (lines up to 4 KB)
+	used []uint64 // per-64B chunk touch bits (lines up to 4 KB); nil for 64 B lines
 
 	// touched lists every slot that ever held a line, in first-fill
 	// order, so Finish credits resident use masks without scanning the
@@ -111,6 +112,18 @@ type Cache struct {
 // New builds the cache. NMBytes must be a multiple of Assoc*LineBytes
 // with a power-of-two set count.
 func New(cfg Config, nm, fm *memsys.Device) *Cache {
+	c := new(Cache)
+	c.Reset(cfg, nm, fm)
+	return c
+}
+
+// Reset returns c to the state New(cfg, nm, fm) would return, in time
+// proportional to the entries c's runs have filled. Every entry outside
+// the touched list is zero in every array, so clearing the listed
+// entries zeroes the arrays, and Reset keeps each one whose capacity
+// covers cfg's geometry. The geometry is checked as in New before c
+// changes.
+func (c *Cache) Reset(cfg Config, nm, fm *memsys.Device) {
 	sets := int(cfg.NMBytes) / (cfg.Assoc * cfg.LineBytes)
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic("dramcache: set count must be a positive power of two")
@@ -119,13 +132,27 @@ func New(cfg Config, nm, fm *memsys.Device) *Cache {
 	if 1<<shift != cfg.LineBytes || cfg.LineBytes < 64 {
 		panic("dramcache: line size must be a power of two >= 64")
 	}
-	c := &Cache{
+	for _, idx := range c.touched {
+		c.tags[idx] = 0
+		if c.used != nil {
+			c.used[idx] = 0
+		}
+		if c.lrus != nil {
+			c.lrus[idx] = 0
+		}
+	}
+	n := sets * cfg.Assoc
+	lrus, used := c.lrus, c.used
+	touched := c.touched[:0]
+	if touched == nil {
+		touched = make([]int32, 0, 1024)
+	}
+	*c = Cache{
 		cfg:      cfg,
 		nm:       nm,
 		fm:       fm,
-		tags:     make([]uint64, sets*cfg.Assoc),
-		used:     make([]uint64, sets*cfg.Assoc),
-		touched:  make([]int32, 0, 1024),
+		tags:     resize(c.tags, n),
+		touched:  touched,
 		sets:     sets,
 		assoc:    cfg.Assoc,
 		shift:    shift,
@@ -136,9 +163,20 @@ func New(cfg Config, nm, fm *memsys.Device) *Cache {
 		metaBase: memtypes.Addr(cfg.NMBytes),
 	}
 	if cfg.Assoc > 1 {
-		c.lrus = make([]uint64, sets*cfg.Assoc)
+		c.lrus = resize(lrus, n)
 	}
-	return c
+	if c.chunks > 1 {
+		c.used = resize(used, n)
+	}
+}
+
+// resize returns the zero slice s with length n, reusing its backing
+// array when it is large enough.
+func resize(s []uint64, n int) []uint64 {
+	if cap(s) < n {
+		return make([]uint64, n)
+	}
+	return s[:n]
 }
 
 // Name implements MemorySystem.
@@ -170,7 +208,9 @@ func (c *Cache) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memtyp
 			if c.assoc > 1 {
 				c.lrus[base+i] = c.clock
 			}
-			c.used[base+i] |= 1 << chunk
+			if c.used != nil {
+				c.used[base+i] |= 1 << chunk
+			}
 			if write {
 				c.tags[base+i] = w | tagDirty
 			}
@@ -250,7 +290,9 @@ func (c *Cache) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memtyp
 		c.touched = append(c.touched, int32(base+victim))
 	}
 	c.tags[base+victim] = newTag
-	c.used[base+victim] = 1 << chunk
+	if c.used != nil {
+		c.used[base+victim] = 1 << chunk
+	}
 	if c.assoc > 1 {
 		c.lrus[base+victim] = c.clock
 	}
@@ -261,7 +303,7 @@ func (c *Cache) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memtyp
 func (c *Cache) evict(now memtypes.Tick, set, way int) {
 	idx := set*c.assoc + way
 	w := c.tags[idx]
-	c.stats.UsedBytes += uint64(bits.OnesCount64(c.used[idx])) * 64
+	c.stats.UsedBytes += c.usedBytes(idx)
 	c.stats.Evictions++
 	if w&tagDirty != 0 {
 		rd := c.nm.AccessBG(now, c.nmAddr(set, way), c.cfg.LineBytes, false)
@@ -280,8 +322,18 @@ func (c *Cache) evict(now memtypes.Tick, set, way int) {
 func (c *Cache) Finish(memtypes.Tick) {
 	for _, idx := range c.touched {
 		if c.tags[idx]&tagValid != 0 {
-			c.stats.UsedBytes += uint64(bits.OnesCount64(c.used[idx])) * 64
-			c.used[idx] = 0
+			c.stats.UsedBytes += c.usedBytes(int(idx))
+			if c.used != nil {
+				c.used[idx] = 0
+			}
 		}
 	}
+}
+
+// usedBytes returns how many bytes of the line in entry idx were touched.
+func (c *Cache) usedBytes(idx int) uint64 {
+	if c.used == nil {
+		return 64 // a one-chunk line: the fill touched it
+	}
+	return uint64(bits.OnesCount64(c.used[idx])) * 64
 }

@@ -4,7 +4,6 @@ import (
 	"hybridmem/internal/config"
 	"hybridmem/internal/design"
 	"hybridmem/internal/memsys"
-	"hybridmem/internal/memtypes"
 )
 
 // lineParam is the shared cache-line-size grammar of the parameterized
@@ -18,49 +17,42 @@ func lineParam(doc string, optional bool, def int) design.Param {
 	}
 }
 
+// register adds a family whose configuration is cfg(spec, sys); every
+// family's Reset accepts any family's cache (see design.Resettable).
+func register(info design.Info, cfg func(design.Spec, config.System) Config) {
+	info.NeedsNM = true
+	design.Register(design.Resettable(info, func(c *Cache, spec design.Spec, sys config.System, nm, fm *memsys.Device) {
+		c.Reset(cfg(spec, sys), nm, fm)
+	}))
+}
+
 func init() {
-	design.Register(design.Info{
-		Name:    "TAGLESS",
-		Doc:     "tagless DRAM cache (4 KB pages)",
-		Kind:    design.KindMain,
-		Order:   4,
-		NeedsNM: true,
-		Build: func(_ design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.MemorySystem, error) {
-			return New(Tagless(sys.NMBytes), nm, fm), nil
-		},
-	})
-	design.Register(design.Info{
-		Name:    "ALLOY",
-		Doc:     "direct-mapped TAD cache (64 B lines)",
-		Kind:    design.KindExtra,
-		Order:   4,
-		NeedsNM: true,
-		Build: func(_ design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.MemorySystem, error) {
-			return New(Alloy(sys.NMBytes), nm, fm), nil
-		},
-	})
-	design.Register(design.Info{
+	register(design.Info{
+		Name:  "TAGLESS",
+		Doc:   "tagless DRAM cache (4 KB pages)",
+		Kind:  design.KindMain,
+		Order: 4,
+	}, func(_ design.Spec, sys config.System) Config { return Tagless(sys.NMBytes) })
+	register(design.Info{
+		Name:  "ALLOY",
+		Doc:   "direct-mapped TAD cache (64 B lines)",
+		Kind:  design.KindExtra,
+		Order: 4,
+	}, func(_ design.Spec, sys config.System) Config { return Alloy(sys.NMBytes) })
+	register(design.Info{
 		Name:    "DFC",
 		Doc:     "decoupled fused cache (default 1 KB lines)",
 		Kind:    design.KindMain,
 		Order:   5,
-		NeedsNM: true,
 		Params:  []design.Param{lineParam("cache-line size in bytes", true, 1024)},
 		Example: "DFC-1024",
-		Build: func(spec design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.MemorySystem, error) {
-			return New(DFC(sys.NMBytes, spec.Int("lineB")), nm, fm), nil
-		},
-	})
-	design.Register(design.Info{
+	}, func(spec design.Spec, sys config.System) Config { return DFC(sys.NMBytes, spec.Int("lineB")) })
+	register(design.Info{
 		Name:    "IDEAL",
 		Doc:     "ideal (no tag/latency overhead) cache at a line size",
 		Kind:    design.KindVariant,
 		Order:   1,
-		NeedsNM: true,
 		Params:  []design.Param{lineParam("cache-line size in bytes", false, 0)},
 		Example: "IDEAL-256",
-		Build: func(spec design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.MemorySystem, error) {
-			return New(Ideal(sys.NMBytes, spec.Int("lineB")), nm, fm), nil
-		},
-	})
+	}, func(spec design.Spec, sys config.System) Config { return Ideal(sys.NMBytes, spec.Int("lineB")) })
 }

@@ -45,6 +45,19 @@ type Cache struct {
 // of assoc*lineBytes, the resulting set count must be a power of two, and
 // assoc must be at most 64 (one bitmask word per set).
 func New(sizeBytes, assoc, lineBytes int) *Cache {
+	c := new(Cache)
+	c.Reset(sizeBytes, assoc, lineBytes)
+	return c
+}
+
+// Reset returns c to the state New(sizeBytes, assoc, lineBytes) would
+// return, keeping c's arrays when they are large enough, so one cache
+// can serve consecutive runs. Tags and LRU stamps are read only for ways
+// whose valid bit is set, so clearing the per-set valid and dirty words,
+// the clock and the counters restores the pristine cache: the cost is
+// one word pair per set, not a pass over every way. The geometry is
+// checked as in New before c changes.
+func (c *Cache) Reset(sizeBytes, assoc, lineBytes int) {
 	if sizeBytes <= 0 || assoc <= 0 || lineBytes <= 0 {
 		panic("cachesim: non-positive geometry")
 	}
@@ -66,11 +79,11 @@ func New(sizeBytes, assoc, lineBytes int) *Cache {
 	if assoc < 64 {
 		fullMask = 1<<uint(assoc) - 1
 	}
-	return &Cache{
-		tags:      make([]uint64, sets*assoc),
-		lrus:      make([]uint64, sets*assoc),
-		valid:     make([]uint64, sets),
-		dirty:     make([]uint64, sets),
+	*c = Cache{
+		tags:      resize(c.tags, sets*assoc),
+		lrus:      resize(c.lrus, sets*assoc),
+		valid:     resize(c.valid, sets),
+		dirty:     resize(c.dirty, sets),
 		assoc:     assoc,
 		sets:      sets,
 		lineBytes: lineBytes,
@@ -79,6 +92,17 @@ func New(sizeBytes, assoc, lineBytes int) *Cache {
 		setMask:   uint64(sets - 1),
 		fullMask:  fullMask,
 	}
+	clear(c.valid)
+	clear(c.dirty)
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough; elements are left as they were.
+func resize(s []uint64, n int) []uint64 {
+	if cap(s) < n {
+		return make([]uint64, n)
+	}
+	return s[:n]
 }
 
 // LineBytes returns the cache line size.

@@ -161,6 +161,14 @@ type Hybrid2 struct {
 	freeFM    []uint32 // FM slots with no live data (Free-FM-Stack)
 	stackOn   int      // Free-FM-Stack entries currently on-chip
 
+	// What Reset must undo: the XTA entries filled since the last reset,
+	// the NM slots whose state changed (slotListed marks them), and the
+	// lowest height freeNM reached; slots below it were never popped.
+	xtaFilled    []int32
+	slotsTouched []uint32
+	slotListed   []uint64
+	freeLow      int
+
 	nmFIFO    uint32
 	fmBudget  int64
 	nextReset memtypes.Tick
@@ -215,6 +223,21 @@ func (h *Hybrid2) lookup(logical uint32) loc {
 
 // New builds Hybrid2 over the two devices.
 func New(cfg Config, nm, fm *memsys.Device) *Hybrid2 {
+	h := new(Hybrid2)
+	h.Reset(cfg, nm, fm)
+	return h
+}
+
+// Reset returns h to the state New(cfg, nm, fm) would return, in time
+// proportional to what h's runs touched rather than to its capacity:
+//   - XTA entries are cleared from the list of entries filled;
+//   - NM slot states are restored from the list of slots changed;
+//   - freeNM is refilled above the lowest height it reached;
+//   - the remap tables are forked afresh from the shared placement.
+//
+// Arrays whose capacity covers cfg's geometry are kept. The geometry is
+// checked as in New before h changes.
+func (h *Hybrid2) Reset(cfg Config, nm, fm *memsys.Device) {
 	if cfg.SectorBytes <= 0 || cfg.LineBytes <= 0 || cfg.SectorBytes%cfg.LineBytes != 0 {
 		panic("core: sector must be a positive multiple of the line size")
 	}
@@ -235,7 +258,44 @@ func New(cfg Config, nm, fm *memsys.Device) *Hybrid2 {
 	flat := pool - cacheSlots
 	fmSec := uint32(cfg.FMBytes / uint64(cfg.SectorBytes))
 
-	h := &Hybrid2{
+	// Undo the last run: afterwards every entry is zero, and slot s holds
+	// slotCacheFree below the old cache size and slotFlat above it.
+	for _, i := range h.xtaFilled {
+		h.entries[i] = xtaEntry{}
+	}
+	oldCache := uint32(len(h.entries))
+	for _, s := range h.slotsTouched {
+		h.slotState[s] = slotFlat
+		if s < oldCache {
+			h.slotState[s] = slotCacheFree
+		}
+		h.slotListed[s>>6] = 0
+	}
+	slotState := h.slotState[:cap(h.slotState)]
+	if len(slotState) < int(pool) {
+		slotState, oldCache = make([]uint8, pool), 0
+	}
+	// Cache slots start free, at pool indices [0, cacheSlots).
+	for s := cacheSlots; s < oldCache; s++ {
+		slotState[s] = slotFlat
+	}
+	for s := oldCache; s < cacheSlots; s++ {
+		slotState[s] = slotCacheFree
+	}
+	freeNM, freeLow := h.freeNM, h.freeLow
+	if cap(freeNM) < int(cacheSlots) {
+		freeNM, freeLow = make([]uint32, cacheSlots), 0
+	}
+	freeNM = freeNM[:cacheSlots]
+	for s := freeLow; s < int(cacheSlots); s++ {
+		freeNM[s] = uint32(s)
+	}
+	freeFM := h.freeFM[:0]
+	if cap(freeFM) < int(cacheSlots) {
+		freeFM = make([]uint32, 0, cacheSlots)
+	}
+
+	*h = Hybrid2{
 		cfg:            cfg,
 		nm:             nm,
 		fm:             fm,
@@ -243,15 +303,20 @@ func New(cfg Config, nm, fm *memsys.Device) *Hybrid2 {
 		fullMask:       (uint64(1) << lps) - 1,
 		ctrMax:         uint16(1)<<cfg.CounterBits - 1,
 		sets:           sets,
-		entries:        make([]xtaEntry, int(cacheSlots)),
+		entries:        resize(h.entries, int(cacheSlots)),
 		poolSectors:    pool,
 		flatSectors:    flat,
 		fmSectors:      fmSec,
-		slotState:      make([]uint8, pool),
-		freeNM:         make([]uint32, 0, cacheSlots),
-		freeFM:         make([]uint32, 0, cacheSlots),
+		slotState:      slotState[:pool],
+		freeNM:         freeNM,
+		freeFM:         freeFM,
+		xtaFilled:      h.xtaFilled[:0],
+		slotsTouched:   h.slotsTouched[:0],
+		slotListed:     resize(h.slotListed, int(pool+63)/64),
+		freeLow:        int(cacheSlots),
 		nextReset:      cfg.FMBudgetReset,
 		metaBase:       memtypes.Addr(pool) * memtypes.Addr(cfg.SectorBytes),
+		unused:         h.unused,
 	}
 
 	// Initial placement. Normal modes: logical sectors spread randomly
@@ -264,15 +329,31 @@ func New(cfg Config, nm, fm *memsys.Device) *Hybrid2 {
 	}
 	p := cow.Shared(k, k.build)
 	h.remap, h.invRemap = p.remap, p.invRemap
-	// Cache slots start free, at pool indices [0, cacheSlots).
-	for s := uint32(0); s < cacheSlots; s++ {
-		h.slotState[s] = slotCacheFree
-		h.freeNM = append(h.freeNM, s)
-	}
 	if cfg.FreeSpaceAware {
-		h.unused = make([]bool, h.remap.Len())
+		h.unused = resize(h.unused, h.remap.Len())
+		clear(h.unused)
+	} else {
+		h.unused = nil
 	}
-	return h
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough; elements are left as they were.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// setState sets NM slot s's state, listing s for Reset on its first
+// change since the last one.
+func (h *Hybrid2) setState(s uint32, st uint8) {
+	if w := &h.slotListed[s>>6]; *w&(1<<(s&63)) == 0 {
+		*w |= 1 << (s & 63)
+		h.slotsTouched = append(h.slotsTouched, s)
+	}
+	h.slotState[s] = st
 }
 
 // placementKey identifies an initial placement; the CacheOnly identity
@@ -445,7 +526,7 @@ func (h *Hybrid2) allocateNM(now memtypes.Tick) uint32 {
 		h.remap.Set(int(displaced), h.poolSectors+fmSlot)
 		h.metaWrite(now, displaced)
 		h.invRemap.Set(int(slot), invalidLogical)
-		h.slotState[slot] = slotCacheFree
+		h.setState(slot, slotCacheFree)
 		return slot
 	}
 	panic("core: no flat NM slot available for allocation")
@@ -457,6 +538,7 @@ func (h *Hybrid2) takeSlot(now memtypes.Tick) uint32 {
 	if n := len(h.freeNM); n > 0 {
 		slot := h.freeNM[n-1]
 		h.freeNM = h.freeNM[:n-1]
+		h.freeLow = min(h.freeLow, n-1)
 		return slot
 	}
 	return h.allocateNM(now)
@@ -486,7 +568,7 @@ func (h *Hybrid2) evictEntry(now memtypes.Tick, set int, e *xtaEntry) {
 		// Case 1: all lines already in NM, remap already points there.
 		// Release the reference; the slot keeps the flat data.
 		if h.slotState[e.nmPtr] == slotFlatRef {
-			h.slotState[e.nmPtr] = slotFlat
+			h.setState(e.nmPtr, slotFlat)
 		}
 		e.valid = false
 		return
@@ -527,14 +609,14 @@ func (h *Hybrid2) evictEntry(now memtypes.Tick, set int, e *xtaEntry) {
 		h.metaWrite(now, e.logical)
 		h.pushFreeFM(now, e.fmPtr)
 		h.invRemap.Set(int(e.nmPtr), e.logical)
-		h.slotState[e.nmPtr] = slotFlat
+		h.setState(e.nmPtr, slotFlat)
 		h.stats.Migrations++
 	} else if h.sectorUnused(e.logical) {
 		// §3.8: the sector holds no live data — drop it without
 		// write-backs.
 		h.savedCopies++
 		h.invRemap.Set(int(e.nmPtr), invalidLogical)
-		h.slotState[e.nmPtr] = slotCacheFree
+		h.setState(e.nmPtr, slotCacheFree)
 		h.freeNM = append(h.freeNM, e.nmPtr)
 		h.stats.Evictions++
 	} else {
@@ -549,7 +631,7 @@ func (h *Hybrid2) evictEntry(now memtypes.Tick, set int, e *xtaEntry) {
 			h.stats.FMWriteBytes += uint64(lb)
 		}
 		h.invRemap.Set(int(e.nmPtr), invalidLogical)
-		h.slotState[e.nmPtr] = slotCacheFree
+		h.setState(e.nmPtr, slotCacheFree)
 		h.freeNM = append(h.freeNM, e.nmPtr)
 		h.stats.Evictions++
 	}
@@ -576,6 +658,7 @@ func (h *Hybrid2) allocateEntry(now memtypes.Tick, set int) *xtaEntry {
 	for i := base; i < base+h.cfg.Assoc; i++ {
 		e := &h.entries[i]
 		if !e.valid {
+			h.xtaFilled = append(h.xtaFilled, int32(i))
 			return e
 		}
 		if e.lru < h.entries[victim].lru {
@@ -657,7 +740,7 @@ func (h *Hybrid2) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memt
 		e.validVec = h.fullMask
 		e.dirtyVec = h.fullMask // convention of §3.2
 		if h.slotState[l.idx] == slotFlat {
-			h.slotState[l.idx] = slotFlatRef
+			h.setState(l.idx, slotFlatRef)
 		}
 		h.stats.ServedNM++
 		done := h.nm.Access(now, h.nmAddr(l.idx, offset), 64, write)
@@ -681,7 +764,7 @@ func (h *Hybrid2) Access(now memtypes.Tick, addr memtypes.Addr, write bool) memt
 	if write {
 		e.dirtyVec = 1 << line
 	}
-	h.slotState[slot] = slotCacheData
+	h.setState(slot, slotCacheData)
 	h.invRemap.Set(int(slot), logical)
 	h.metaWrite(now, slot)
 

@@ -41,8 +41,8 @@ func TestGeometry(t *testing.T) {
 	}
 }
 
-// TestXTAEntrySize pins the packed XTA entry: the per-run entries array
-// is allocated and zeroed for every build.
+// TestXTAEntrySize pins the packed XTA entry: a fresh build allocates
+// and zeroes the entries array, and Reset clears every entry filled.
 func TestXTAEntrySize(t *testing.T) {
 	if got := unsafe.Sizeof(xtaEntry{}); got != 40 {
 		t.Fatalf("xtaEntry is %d bytes, want 40", got)

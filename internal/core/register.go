@@ -25,16 +25,22 @@ func clampTick(v uint64) memtypes.Tick {
 	return memtypes.Tick(v)
 }
 
+// register adds a family whose setup resets a Hybrid2 in place for a
+// spec; every family's Reset accepts any family's Hybrid2 (see
+// design.Resettable).
+func register(info design.Info, setup func(h *Hybrid2, spec design.Spec, sys config.System, nm, fm *memsys.Device)) {
+	info.NeedsNM = true
+	design.Register(design.Resettable(info, setup))
+}
+
 func init() {
-	design.Register(design.Info{
-		Name:    "HYBRID2",
-		Doc:     "the paper's full design: sectored DRAM cache + migration + remap",
-		Kind:    design.KindMain,
-		Order:   6,
-		NeedsNM: true,
-		Build: func(_ design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.MemorySystem, error) {
-			return New(h2cfg(sys), nm, fm), nil
-		},
+	register(design.Info{
+		Name:  "HYBRID2",
+		Doc:   "the paper's full design: sectored DRAM cache + migration + remap",
+		Kind:  design.KindMain,
+		Order: 6,
+	}, func(h *Hybrid2, _ design.Spec, sys config.System, nm, fm *memsys.Device) {
+		h.Reset(h2cfg(sys), nm, fm)
 	})
 
 	for i, v := range []struct {
@@ -47,26 +53,23 @@ func init() {
 		{"H2-NoRemap", "Fig. 14 ablation: remap metadata accesses are free", NoRemapOverhead},
 	} {
 		mode := v.mode
-		design.Register(design.Info{
-			Name:    v.name,
-			Doc:     v.doc,
-			Kind:    design.KindVariant,
-			Order:   2 + i,
-			NeedsNM: true,
-			Build: func(_ design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.MemorySystem, error) {
-				cfg := h2cfg(sys)
-				cfg.Mode = mode
-				return New(cfg, nm, fm), nil
-			},
+		register(design.Info{
+			Name:  v.name,
+			Doc:   v.doc,
+			Kind:  design.KindVariant,
+			Order: 2 + i,
+		}, func(h *Hybrid2, _ design.Spec, sys config.System, nm, fm *memsys.Device) {
+			cfg := h2cfg(sys)
+			cfg.Mode = mode
+			h.Reset(cfg, nm, fm)
 		})
 	}
 
-	design.Register(design.Info{
-		Name:    "H2ABL",
-		Doc:     "Hybrid2 design-choice sensitivity variant",
-		Kind:    design.KindVariant,
-		Order:   6,
-		NeedsNM: true,
+	register(design.Info{
+		Name:  "H2ABL",
+		Doc:   "Hybrid2 design-choice sensitivity variant",
+		Kind:  design.KindVariant,
+		Order: 6,
 		Params: []design.Param{
 			{Name: "knob", Doc: "constant to vary", Enum: []string{"ctr", "reset", "stack", "assoc", "free"}},
 			{Name: "val", Doc: "knob value: counter bits, reset cycles, stack entries, XTA ways, or free per-mille", Min: 1, Max: 100_000_000},
@@ -94,36 +97,34 @@ func init() {
 			}
 			return nil
 		},
-		Build: func(spec design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.MemorySystem, error) {
-			cfg := h2cfg(sys)
-			val := spec.Int("val")
-			switch spec.Raw("knob") {
-			case "ctr": // access-counter width in bits (§3.7.1, paper: 9)
-				cfg.CounterBits = val
-			case "reset": // FM budget reset period in paper cycles (§3.7.3)
-				cfg.FMBudgetReset = clampTick(uint64(val) / uint64(sys.Scale))
-			case "stack": // on-chip Free-FM-Stack entries (§3.3, paper: 16)
-				cfg.FreeStackOnChip = val
-			case "assoc": // XTA associativity (paper: 16)
-				cfg.Assoc = val
-			case "free": // §3.8 extension with val/1000 of memory hinted free
-				cfg.FreeSpaceAware = true
-				h := New(cfg, nm, fm)
-				total := uint64(h.Sectors()) * uint64(cfg.SectorBytes)
-				freeBytes := total * uint64(val) / 1000
-				h.MarkFree(memtypes.Addr(total-freeBytes), freeBytes)
-				return h, nil
-			}
-			return New(cfg, nm, fm), nil
-		},
+	}, func(h *Hybrid2, spec design.Spec, sys config.System, nm, fm *memsys.Device) {
+		cfg := h2cfg(sys)
+		val := spec.Int("val")
+		switch spec.Raw("knob") {
+		case "ctr": // access-counter width in bits (§3.7.1, paper: 9)
+			cfg.CounterBits = val
+		case "reset": // FM budget reset period in paper cycles (§3.7.3)
+			cfg.FMBudgetReset = clampTick(uint64(val) / uint64(sys.Scale))
+		case "stack": // on-chip Free-FM-Stack entries (§3.3, paper: 16)
+			cfg.FreeStackOnChip = val
+		case "assoc": // XTA associativity (paper: 16)
+			cfg.Assoc = val
+		case "free": // §3.8 extension with val/1000 of memory hinted free
+			cfg.FreeSpaceAware = true
+			h.Reset(cfg, nm, fm)
+			total := uint64(h.Sectors()) * uint64(cfg.SectorBytes)
+			freeBytes := total * uint64(val) / 1000
+			h.MarkFree(memtypes.Addr(total-freeBytes), freeBytes)
+			return
+		}
+		h.Reset(cfg, nm, fm)
 	})
 
-	design.Register(design.Info{
-		Name:    "H2DSE",
-		Doc:     "Hybrid2 Fig. 11 design-space point",
-		Kind:    design.KindVariant,
-		Order:   7,
-		NeedsNM: true,
+	register(design.Info{
+		Name:  "H2DSE",
+		Doc:   "Hybrid2 Fig. 11 design-space point",
+		Kind:  design.KindVariant,
+		Order: 7,
 		Params: []design.Param{
 			{Name: "cacheMB", Doc: "paper-scale DRAM-cache size in MB", Min: 1, Max: 1024},
 			{Name: "sectorKB", Doc: "sector size in KB", Min: 1, Max: 64},
@@ -140,13 +141,12 @@ func init() {
 			}
 			return nil
 		},
-		Build: func(spec design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.MemorySystem, error) {
-			cacheBytes := uint64(spec.Int("cacheMB")) << 20 / uint64(sys.Scale)
-			cfg := Default(sys.NMBytes, sys.FMBytes, cacheBytes, sys.Seed)
-			cfg.FMBudgetReset = clampTick(sys.FMBudgetResetCycles())
-			cfg.SectorBytes = spec.Int("sectorKB") << 10
-			cfg.LineBytes = spec.Int("lineB")
-			return New(cfg, nm, fm), nil
-		},
+	}, func(h *Hybrid2, spec design.Spec, sys config.System, nm, fm *memsys.Device) {
+		cacheBytes := uint64(spec.Int("cacheMB")) << 20 / uint64(sys.Scale)
+		cfg := Default(sys.NMBytes, sys.FMBytes, cacheBytes, sys.Seed)
+		cfg.FMBudgetReset = clampTick(sys.FMBudgetResetCycles())
+		cfg.SectorBytes = spec.Int("sectorKB") << 10
+		cfg.LineBytes = spec.Int("lineB")
+		h.Reset(cfg, nm, fm)
 	})
 }

@@ -36,6 +36,9 @@
 // cmd/hybrid2sim -designs print it); Parse resolves a name to a
 // validated Spec; Spec.Build constructs the organization over fresh
 // devices, converting any residual constructor panic into an error.
+// Spec.Rebuild instead resets an organization of an earlier run in place
+// when the family registers a Reset (see Resettable), so a worker running
+// many short runs does not rebuild capacity-sized arrays for each.
 package design
 
 import (
@@ -108,6 +111,13 @@ type Value struct {
 // nm is nil when the design's NeedsNM is false.
 type Builder func(spec Spec, sys config.System, nm, fm *memsys.Device) (memtypes.MemorySystem, error)
 
+// Resetter returns ms, an organization built (or reset) earlier and
+// possibly used by a run since, to the state the family's Builder would
+// produce for spec and sys over the devices nm and fm. It reports false,
+// leaving ms as it was, when ms is not of a type the family can reset.
+// It may panic on a geometry Builder would also reject.
+type Resetter func(ms memtypes.MemorySystem, spec Spec, sys config.System, nm, fm *memsys.Device) bool
+
 // Info describes one registered design family.
 type Info struct {
 	// Name is the base name ("MPOD", "DFC", "H2DSE", "SILC-FM").
@@ -130,6 +140,32 @@ type Info struct {
 	Check func(vals []Value) error
 	// Build constructs the organization.
 	Build Builder
+	// Reset, when non-nil, lets Spec.Rebuild recycle an organization of
+	// an earlier run instead of building a new one.
+	Reset Resetter
+}
+
+// Resettable returns info with Build and Reset both derived from setup,
+// which initializes a *T in place for spec and sys: Build runs it on a
+// new zero T, Reset on any organization of type *T, so every family
+// registered with the same T can reset another's organization.
+func Resettable[T any, P interface {
+	*T
+	memtypes.MemorySystem
+}](info Info, setup func(m P, spec Spec, sys config.System, nm, fm *memsys.Device)) Info {
+	info.Build = func(spec Spec, sys config.System, nm, fm *memsys.Device) (memtypes.MemorySystem, error) {
+		m := P(new(T))
+		setup(m, spec, sys, nm, fm)
+		return m, nil
+	}
+	info.Reset = func(ms memtypes.MemorySystem, spec Spec, sys config.System, nm, fm *memsys.Device) bool {
+		m, ok := ms.(P)
+		if ok {
+			setup(m, spec, sys, nm, fm)
+		}
+		return ok
+	}
+	return info
 }
 
 // Grammar renders the full name grammar, e.g.
@@ -398,22 +434,51 @@ func Build(name string, sys config.System) (memtypes.MemorySystem, *memsys.Devic
 // could not check without the system size — is converted into an error,
 // so no caller needs panic containment around construction.
 func (s Spec) Build(sys config.System) (ms memtypes.MemorySystem, nm, fm *memsys.Device, err error) {
+	ms, nm, fm, _, err = s.Rebuild(nil, sys)
+	return ms, nm, fm, err
+}
+
+// Rebuild is Build that may recycle prev, an organization an earlier
+// Build or Rebuild returned: when the family's Reset accepts prev, prev
+// is reset over fresh devices and returned with reused true. Otherwise,
+// also when the reset panics, the result is exactly Build's. prev must
+// not be used after the call unless it is the organization returned.
+func (s Spec) Rebuild(prev memtypes.MemorySystem, sys config.System) (ms memtypes.MemorySystem, nm, fm *memsys.Device, reused bool, err error) {
 	if s.Info == nil {
-		return nil, nil, nil, errors.New("design: Build on a zero Spec")
+		return nil, nil, nil, false, errors.New("design: Build on a zero Spec")
 	}
-	defer func() {
-		if p := recover(); p != nil {
-			ms, nm, fm = nil, nil, nil
-			err = fmt.Errorf("design: build %s: %v", s.Name, p)
-		}
-	}()
 	fm = memsys.New(memsys.DDR4Config())
 	if s.Info.NeedsNM {
 		nm = memsys.New(memsys.HBM2Config())
 	}
-	ms, err = s.Info.Build(s, sys, nm, fm)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("design: build %s: %w", s.Name, err)
+	if prev != nil && s.Info.Reset != nil && s.reset(prev, sys, nm, fm) {
+		return prev, nm, fm, true, nil
 	}
-	return ms, nm, fm, nil
+	if ms, err = s.build(sys, nm, fm); err != nil {
+		return nil, nil, nil, false, err
+	}
+	return ms, nm, fm, false, nil
+}
+
+// reset runs the family's Reset on prev, taking a panic as a refusal.
+func (s Spec) reset(prev memtypes.MemorySystem, sys config.System, nm, fm *memsys.Device) (ok bool) {
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+	}()
+	return s.Info.Reset(prev, s, sys, nm, fm)
+}
+
+// build runs the family's Build, converting a panic into an error.
+func (s Spec) build(sys config.System, nm, fm *memsys.Device) (ms memtypes.MemorySystem, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			ms, err = nil, fmt.Errorf("design: build %s: %v", s.Name, p)
+		}
+	}()
+	if ms, err = s.Info.Build(s, sys, nm, fm); err != nil {
+		return nil, fmt.Errorf("design: build %s: %w", s.Name, err)
+	}
+	return ms, nil
 }

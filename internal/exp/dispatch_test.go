@@ -99,7 +99,7 @@ func TestGroupedBatchBuildsEachLayoutOnce(t *testing.T) {
 	r := tiny()
 	r.Parallelism = 2
 	var m meeting
-	errs := r.parallelSpecs(context.Background(), specs, func(i int) error {
+	errs := r.parallelSpecs(context.Background(), specs, func(i int, _ *runSlot) error {
 		d := specs[i].Design
 		cow.Shared(layoutKey{d}, func() layout {
 			builds[d].Add(1)
@@ -130,7 +130,7 @@ func TestOneDesignBatchNotSerialized(t *testing.T) {
 	r := tiny()
 	r.Parallelism = 2
 	var m meeting
-	errs := r.parallelSpecs(context.Background(), specs, func(i int) error {
+	errs := r.parallelSpecs(context.Background(), specs, func(i int, _ *runSlot) error {
 		if !m.meet() {
 			return fmt.Errorf("run %d ran alone: the batch was serialized", i)
 		}

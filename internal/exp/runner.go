@@ -24,13 +24,17 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
+	"hybridmem/internal/cachesim"
 	"hybridmem/internal/config"
 	"hybridmem/internal/design"
 	_ "hybridmem/internal/design/all" // link every built-in organization into the registry
+	"hybridmem/internal/memtypes"
 	"hybridmem/internal/obs"
 	"hybridmem/internal/sim"
 	"hybridmem/internal/store"
+	"hybridmem/internal/telemetry"
 	"hybridmem/internal/trace"
 	"hybridmem/internal/workload"
 )
@@ -87,6 +91,9 @@ type Runner struct {
 	mu     sync.Mutex
 	memo   *store.LRU[memoVal]
 	flight *store.Flight[memoVal]
+	// resets counts the runs that reset a worker's organization instead
+	// of building one. Only tests read it.
+	resets atomic.Int64
 }
 
 // memoVal is one settled run: its result or its error, memoized
@@ -209,6 +216,11 @@ func (r *Runner) runKey(wl workload.Spec, designName string, ratio16 int) string
 // simulated, and completed simulations are persisted for every future
 // runner sharing the store.
 func (r *Runner) ResultErr(wl workload.Spec, designName string, ratio16 int) (sim.Result, error) {
+	return r.result(wl, designName, ratio16, nil)
+}
+
+// result is ResultErr on a worker's reuse slot; a nil slot builds fresh.
+func (r *Runner) result(wl workload.Spec, designName string, ratio16 int, slot *runSlot) (sim.Result, error) {
 	spec, err := design.Parse(designName)
 	if err != nil {
 		return sim.Result{}, err
@@ -244,13 +256,10 @@ func (r *Runner) ResultErr(wl workload.Spec, designName string, ratio16 int) (si
 				v = memoVal{err: fmt.Errorf("exp: run %s/%s: %v", wl.Name, designName, p)}
 			}
 		}()
-		sys := r.system(ratio16)
-		ms, nm, fm, err := spec.Build(sys)
+		res, err := r.simulate(slot, spec, wl, r.system(ratio16), nil)
 		if err != nil {
 			return memoVal{err: err}, nil
 		}
-		r.SimCounter.Inc()
-		res := sim.Run(wl, ms, nm, fm, sys)
 		if r.Store != nil {
 			if data, err := json.Marshal(res); err == nil {
 				r.Store.PutDisk(key, data)
@@ -283,6 +292,48 @@ func (r *Runner) Result(wl workload.Spec, designName string, ratio16 int) sim.Re
 	return res
 }
 
+// runSlot is one worker's reusable run state: the organization and the
+// LLC of the worker's last run. A worker of parallelForEach owns one
+// slot for as long as it runs, so no state outlives the worker, and a
+// run empties the slot until it completes, so a run that panics leaves
+// the next one to build fresh.
+type runSlot struct {
+	ms  memtypes.MemorySystem
+	llc *cachesim.Cache
+}
+
+// simulate builds spec for sys and runs wl on it with smp attached (nil
+// for none). With a slot, it resets the slot's organization instead of
+// building one when spec's family accepts it (see design.Spec.Rebuild)
+// and reuses the slot's LLC; results are identical either way.
+func (r *Runner) simulate(slot *runSlot, spec design.Spec, wl workload.Spec, sys config.System, smp *telemetry.Sampler) (sim.Result, error) {
+	var prev memtypes.MemorySystem
+	var llc *cachesim.Cache
+	if slot != nil {
+		prev, llc = slot.ms, slot.llc
+		*slot = runSlot{}
+	}
+	ms, nm, fm, reused, err := spec.Rebuild(prev, sys)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	if reused {
+		r.resets.Add(1)
+	}
+	if llc == nil {
+		llc = new(cachesim.Cache)
+	}
+	r.SimCounter.Inc()
+	res := sim.RunOn(llc, wl, ms, nm, fm, sys, smp)
+	if slot != nil {
+		slot.llc = llc
+		if spec.Info.Reset != nil {
+			slot.ms = ms
+		}
+	}
+	return res, nil
+}
+
 // parallelFor runs fn(i) for every i in [0, n) across the runner's
 // worker pool without a cancellation point; see parallelForCtx.
 func (r *Runner) parallelFor(n int, fn func(i int) error) error {
@@ -298,25 +349,26 @@ func (r *Runner) parallelFor(n int, fn func(i int) error) error {
 // escaping on a worker goroutine, where no caller's recover could catch
 // it.
 func (r *Runner) parallelForCtx(ctx context.Context, n int, fn func(i int) error) error {
-	return errors.Join(r.parallelForEach(ctx, n, nil, fn)...)
+	return errors.Join(r.parallelForEach(ctx, n, nil, func(i int, _ *runSlot) error { return fn(i) })...)
 }
 
 // parallelSpecs is parallelForCtx over a batch of runs, dispatched by
 // design (see runQueue), with one error slot per run (nil on success)
 // instead of a joined error, so callers that need per-run granularity —
 // the cluster shard executor, the DSE evaluator — can tell exactly which
-// runs failed.
-func (r *Runner) parallelSpecs(ctx context.Context, specs []RunSpec, fn func(i int) error) []error {
+// runs failed. fn gets the reuse slot of the worker it runs on.
+func (r *Runner) parallelSpecs(ctx context.Context, specs []RunSpec, fn func(i int, slot *runSlot) error) []error {
 	return r.parallelForEach(ctx, len(specs), func(i int) string { return specs[i].Design }, fn)
 }
 
 // parallelForEach is the per-index core of parallelForCtx and
 // parallelSpecs. With a nil designOf, workers take indices in order;
 // otherwise designOf(i) names the design of index i and workers take
-// indices as runQueue describes. Cancellation and panic handling are as
-// described on parallelForCtx.
-func (r *Runner) parallelForEach(ctx context.Context, n int, designOf func(i int) string, fn func(i int) error) []error {
-	call := func(i int) (err error) {
+// indices as runQueue describes. Each worker, or the serial loop, hands
+// fn its one runSlot. Cancellation and panic handling are as described
+// on parallelForCtx.
+func (r *Runner) parallelForEach(ctx context.Context, n int, designOf func(i int) string, fn func(i int, slot *runSlot) error) []error {
+	call := func(i int, slot *runSlot) (err error) {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -325,13 +377,14 @@ func (r *Runner) parallelForEach(ctx context.Context, n int, designOf func(i int
 				err = fmt.Errorf("exp: parallel run %d: %v", i, p)
 			}
 		}()
-		return fn(i)
+		return fn(i, slot)
 	}
 	errs := make([]error, n)
 	workers := min(r.workers(), n)
 	if workers <= 1 {
+		var slot runSlot
 		for i := 0; i < n; i++ {
-			errs[i] = call(i)
+			errs[i] = call(i, &slot)
 		}
 		return errs
 	}
@@ -341,13 +394,14 @@ func (r *Runner) parallelForEach(ctx context.Context, n int, designOf func(i int
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var slot runSlot
 			last := -1
 			for {
 				i, ok := q.next(&last)
 				if !ok {
 					return
 				}
-				errs[i] = call(i)
+				errs[i] = call(i, &slot)
 			}
 		}()
 	}
@@ -449,9 +503,9 @@ func (r *Runner) ResultsParallelProgress(ctx context.Context, specs []RunSpec, p
 	out := make([]sim.Result, len(specs))
 	var mu sync.Mutex
 	finished := 0
-	errs := r.parallelSpecs(ctx, specs, func(i int) error {
+	errs := r.parallelSpecs(ctx, specs, func(i int, slot *runSlot) error {
 		var err error
-		out[i], err = r.ResultErr(specs[i].Workload, specs[i].Design, specs[i].Ratio16)
+		out[i], err = r.result(specs[i].Workload, specs[i].Design, specs[i].Ratio16, slot)
 		if progress != nil {
 			mu.Lock()
 			finished++
@@ -472,9 +526,9 @@ func (r *Runner) ResultsParallelProgress(ctx context.Context, specs []RunSpec, p
 // by cancellation settles its slot as ctx.Err() with a zero result.
 func (r *Runner) ResultsParallelEach(ctx context.Context, specs []RunSpec) ([]sim.Result, []error) {
 	out := make([]sim.Result, len(specs))
-	errs := r.parallelSpecs(ctx, specs, func(i int) error {
+	errs := r.parallelSpecs(ctx, specs, func(i int, slot *runSlot) error {
 		var err error
-		out[i], err = r.ResultErr(specs[i].Workload, specs[i].Design, specs[i].Ratio16)
+		out[i], err = r.result(specs[i].Workload, specs[i].Design, specs[i].Ratio16, slot)
 		return err
 	})
 	return out, errs

@@ -66,10 +66,12 @@ func (t *TelemetryOptions) sampler(run int) *telemetry.Sampler {
 // TelemetryOptions — but the returned Result is identical to what
 // ResultErr returns for the same run.
 func (r *Runner) ResultSeriesErr(wl workload.Spec, designName string, ratio16 int) (sim.Result, *telemetry.Series, error) {
-	return r.resultSeries(wl, designName, ratio16, 0)
+	return r.resultSeries(wl, designName, ratio16, 0, nil)
 }
 
-func (r *Runner) resultSeries(wl workload.Spec, designName string, ratio16 int, run int) (res sim.Result, ser *telemetry.Series, err error) {
+// resultSeries is ResultSeriesErr for run index run on a worker's reuse
+// slot; a nil slot builds fresh.
+func (r *Runner) resultSeries(wl workload.Spec, designName string, ratio16 int, run int, slot *runSlot) (res sim.Result, ser *telemetry.Series, err error) {
 	spec, err := design.Parse(designName)
 	if err != nil {
 		return sim.Result{}, nil, err
@@ -82,14 +84,10 @@ func (r *Runner) resultSeries(wl workload.Spec, designName string, ratio16 int, 
 			err = fmt.Errorf("exp: sampled run %s/%s: %v", wl.Name, designName, p)
 		}
 	}()
-	sys := r.system(ratio16)
-	ms, nm, fm, err := spec.Build(sys)
-	if err != nil {
+	smp := r.Telemetry.sampler(run)
+	if res, err = r.simulate(slot, spec, wl, r.system(ratio16), smp); err != nil {
 		return sim.Result{}, nil, err
 	}
-	smp := r.Telemetry.sampler(run)
-	r.SimCounter.Inc()
-	res = sim.RunSampled(wl, ms, nm, fm, sys, smp)
 	ser = smp.Series()
 	if r.Telemetry != nil && r.Telemetry.OnSeries != nil {
 		r.Telemetry.OnSeries(run, ser)
@@ -108,9 +106,9 @@ func (r *Runner) ResultsParallelSeries(ctx context.Context, specs []RunSpec, pro
 	series := make([]*telemetry.Series, len(specs))
 	var mu sync.Mutex
 	finished := 0
-	errs := r.parallelSpecs(ctx, specs, func(i int) error {
+	errs := r.parallelSpecs(ctx, specs, func(i int, slot *runSlot) error {
 		var err error
-		out[i], series[i], err = r.resultSeries(specs[i].Workload, specs[i].Design, specs[i].Ratio16, i)
+		out[i], series[i], err = r.resultSeries(specs[i].Workload, specs[i].Design, specs[i].Ratio16, i, slot)
 		if progress != nil {
 			mu.Lock()
 			finished++

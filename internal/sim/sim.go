@@ -104,11 +104,18 @@ func Run(spec workload.Spec, ms memtypes.MemorySystem, nm, fm *memsys.Device, sy
 // internal/telemetry). A nil smp is exactly Run — the sampler is
 // passive and never changes the Result.
 func RunSampled(spec workload.Spec, ms memtypes.MemorySystem, nm, fm *memsys.Device, sys config.System, smp *telemetry.Sampler) Result {
+	return RunOn(nil, spec, ms, nm, fm, sys, smp)
+}
+
+// RunOn is RunSampled over a shared LLC the caller keeps: llc is reset to
+// sys's geometry before the run (see cachesim.Cache.Reset), so one LLC
+// can serve consecutive runs. A nil llc is RunSampled's new LLC.
+func RunOn(llc *cachesim.Cache, spec workload.Spec, ms memtypes.MemorySystem, nm, fm *memsys.Device, sys config.System, smp *telemetry.Sampler) Result {
 	srcs := make([]Source, config.Cores)
 	for i := range srcs {
 		srcs[i] = workload.NewStream(spec, i, sys.Scale, sys.InstrPerCore, sys.Seed)
 	}
-	return RunSourcesSampled(spec.Name, srcs, MLPFor(spec), ms, nm, fm, sys, smp)
+	return runSources(llc, spec.Name, srcs, MLPFor(spec), ms, nm, fm, sys, smp)
 }
 
 // The devirtualization wrappers below give the registry's main designs a
@@ -165,17 +172,22 @@ func RunSources(name string, srcs []Source, mlp int, ms memtypes.MemorySystem, n
 // RunSourcesSampled is RunSources with an optional telemetry sampler;
 // nil smp is exactly RunSources.
 func RunSourcesSampled(name string, srcs []Source, mlp int, ms memtypes.MemorySystem, nm, fm *memsys.Device, sys config.System, smp *telemetry.Sampler) Result {
+	return runSources(nil, name, srcs, mlp, ms, nm, fm, sys, smp)
+}
+
+// runSources dispatches to the runLoop instantiation of ms's type.
+func runSources(llc *cachesim.Cache, name string, srcs []Source, mlp int, ms memtypes.MemorySystem, nm, fm *memsys.Device, sys config.System, smp *telemetry.Sampler) Result {
 	switch m := ms.(type) {
 	case *hybrid.Hybrid2:
-		return runLoop(name, srcs, mlp, hybridMS{m}, nm, fm, sys, smp)
+		return runLoop(llc, name, srcs, mlp, hybridMS{m}, nm, fm, sys, smp)
 	case *dramcache.Cache:
-		return runLoop(name, srcs, mlp, dramCacheMS{m}, nm, fm, sys, smp)
+		return runLoop(llc, name, srcs, mlp, dramCacheMS{m}, nm, fm, sys, smp)
 	case *flat.FMOnly:
-		return runLoop(name, srcs, mlp, fmOnlyMS{m}, nm, fm, sys, smp)
+		return runLoop(llc, name, srcs, mlp, fmOnlyMS{m}, nm, fm, sys, smp)
 	case *flat.NMOnly:
-		return runLoop(name, srcs, mlp, nmOnlyMS{m}, nm, fm, sys, smp)
+		return runLoop(llc, name, srcs, mlp, nmOnlyMS{m}, nm, fm, sys, smp)
 	}
-	return runLoop[memtypes.MemorySystem](name, srcs, mlp, ms, nm, fm, sys, smp)
+	return runLoop[memtypes.MemorySystem](llc, name, srcs, mlp, ms, nm, fm, sys, smp)
 }
 
 // coreState is one core's slot in the run loop: its source, the batch
@@ -238,9 +250,13 @@ func maxCoreTime(cores []*cpu.Core) memtypes.Tick {
 // buffers, heap and core state are preallocated, and the histogram is a
 // fixed array. The telemetry sampler is optional and passive: with smp
 // nil the per-record cost is one predictable branch and the Result is
-// unchanged either way.
-func runLoop[MS memtypes.MemorySystem](name string, srcs []Source, mlp int, ms MS, nm, fm *memsys.Device, sys config.System, smp *telemetry.Sampler) Result {
-	llc := cachesim.New(sys.LLCBytes, config.LLCAssoc, memtypes.CPULineBytes)
+// unchanged either way. A nil llc runs on a new LLC; a non-nil one is
+// reset first.
+func runLoop[MS memtypes.MemorySystem](llc *cachesim.Cache, name string, srcs []Source, mlp int, ms MS, nm, fm *memsys.Device, sys config.System, smp *telemetry.Sampler) Result {
+	if llc == nil {
+		llc = new(cachesim.Cache)
+	}
+	llc.Reset(sys.LLCBytes, config.LLCAssoc, memtypes.CPULineBytes)
 	var lat stats.Histogram
 
 	// Telemetry boundary state: retired instructions mirror the cores'
