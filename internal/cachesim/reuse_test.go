@@ -57,7 +57,7 @@ func TestReuseRejectsBadGeometry(t *testing.T) {
 		}()
 		c.Reset(3*4*64, 4, 64)
 	}()
-	if !c.Contains(0x40) || c.Accesses != 1 {
+	if !c.contains(0x40) || c.Accesses != 1 {
 		t.Fatal("a refused Reset changed the cache")
 	}
 }

@@ -15,9 +15,9 @@ type Core struct {
 	Instructions uint64
 
 	issueWidth  int
-	computeRem  uint64 // sub-cycle remainder of compute work
-	outstanding []memtypes.Tick
-	writeBuf    []memtypes.Tick
+	computeRem  uint64          // sub-cycle remainder of compute work
+	outstanding []memtypes.Tick // MSHR completion times, a min-heap
+	writeBuf    []memtypes.Tick // write-buffer completion times, a min-heap
 }
 
 // New creates a core with the given issue width and maximum number of
@@ -54,34 +54,41 @@ func (c *Core) AddLatency(cycles memtypes.Tick) { c.Time += cycles }
 // MSHRs hold younger completions, the core first stalls until the oldest
 // one resolves. This exposes miss latency once MLP is exhausted while
 // letting up to len(outstanding) misses overlap.
-func (c *Core) StallForMiss(done memtypes.Tick) {
-	oldest := 0
-	for i, t := range c.outstanding {
-		if t < c.outstanding[oldest] {
-			oldest = i
-		}
-	}
-	if wait := c.outstanding[oldest]; wait > c.Time {
-		c.Time = wait
-	}
-	c.outstanding[oldest] = done
-}
+func (c *Core) StallForMiss(done memtypes.Tick) { c.stallAndReplace(c.outstanding, done) }
 
 // StallForWrite reserves a write-buffer entry for a store or write-back
 // completing at done. Stores normally retire without stalling, but a full
 // write buffer applies backpressure — without it, write traffic would
 // queue without bound at the memory devices.
-func (c *Core) StallForWrite(done memtypes.Tick) {
-	oldest := 0
-	for i, t := range c.writeBuf {
-		if t < c.writeBuf[oldest] {
-			oldest = i
-		}
-	}
-	if wait := c.writeBuf[oldest]; wait > c.Time {
+func (c *Core) StallForWrite(done memtypes.Tick) { c.stallAndReplace(c.writeBuf, done) }
+
+// stallAndReplace stalls the core until the earliest completion of h, a
+// min-heap of completion times, and replaces that entry with done. Only
+// the multiset of completion times is observable (its minimum here, its
+// maximum in DrainMisses), so a heap gives exactly the timing of a scan
+// for the first minimum, in O(log n) instead of O(n).
+func (c *Core) stallAndReplace(h []memtypes.Tick, done memtypes.Tick) {
+	if wait := h[0]; wait > c.Time {
 		c.Time = wait
 	}
-	c.writeBuf[oldest] = done
+	// Sift the hole at the root down to where done belongs.
+	i := 0
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			break
+		}
+		m := l
+		if r := l + 1; r < len(h) && h[r] < h[l] {
+			m = r
+		}
+		if h[m] >= done {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = done
 }
 
 // DrainMisses stalls until every outstanding miss has completed. Called at

@@ -200,32 +200,41 @@ type coreState struct {
 	n    int
 }
 
-// lessCore orders heap entries by (core time, core index): exactly the
-// core the old linear scan selected — the lowest-indexed core among those
-// with the minimum time.
-func lessCore(cores []*cpu.Core, a, b int32) bool {
-	ta, tb := cores[a].Time, cores[b].Time
-	return ta < tb || (ta == tb && a < b)
+// slot is one run-loop scheduler heap entry: a core's time, carried
+// inline so comparisons touch no core, and the core's index.
+type slot struct {
+	t memtypes.Tick
+	i int32
 }
 
-// siftDown restores the min-heap property from slot i after the entry
-// there grew (the selected core advanced) or was replaced (a pop).
-func siftDown(h []int32, i int, cores []*cpu.Core) {
+// before orders heap entries by (core time, core index): exactly the
+// core a linear scan selects — the lowest-indexed core among those with
+// the minimum time.
+func (a slot) before(b slot) bool {
+	return a.t < b.t || (a.t == b.t && a.i < b.i)
+}
+
+// siftDown places e in the min-heap h whose root slot is a hole, moving
+// the hole down until e belongs there: the root either grew (the
+// selected core advanced) or was replaced (a pop).
+func siftDown(h []slot, e slot) {
+	i := 0
 	for {
 		l := 2*i + 1
 		if l >= len(h) {
-			return
+			break
 		}
 		m := l
-		if r := l + 1; r < len(h) && lessCore(cores, h[r], h[l]) {
+		if r := l + 1; r < len(h) && h[r].before(h[l]) {
 			m = r
 		}
-		if !lessCore(cores, h[m], h[i]) {
-			return
+		if !h[m].before(e) {
+			break
 		}
-		h[i], h[m] = h[m], h[i]
+		h[i] = h[m]
 		i = m
 	}
+	h[i] = e
 }
 
 // maxCoreTime returns the latest core time — the run's cycle count so
@@ -243,15 +252,17 @@ func maxCoreTime(cores []*cpu.Core) memtypes.Tick {
 
 // runLoop is the per-record simulation loop, generic so the type switch
 // in RunSources stencils a concrete-typed copy per main design. The
-// scheduler is an index min-heap keyed on (core time, index), replacing
-// the O(cores) scan per record; selection order is bit-identical to the
+// scheduler is a min-heap of (core time, index) slots, replacing the
+// O(cores) scan per record; selection order is bit-identical to the
 // scan because both pick the lexicographic minimum, and only the selected
-// core's time ever changes. The steady state allocates nothing: record
-// buffers, heap and core state are preallocated, and the histogram is a
-// fixed array. The telemetry sampler is optional and passive: with smp
-// nil the per-record cost is one predictable branch and the Result is
-// unchanged either way. A nil llc runs on a new LLC; a non-nil one is
-// reset first.
+// core's time ever changes, so after each record the loop writes that
+// core's new time into the root slot and sifts it down. The keys live
+// in the heap itself, so ordering reads no core. The steady state
+// allocates nothing: record buffers, heap and core state are
+// preallocated, and the histogram is a fixed array. The telemetry
+// sampler is optional and passive: with smp nil the per-record cost is
+// one predictable branch and the Result is unchanged either way. A nil
+// llc runs on a new LLC; a non-nil one is reset first.
 func runLoop[MS memtypes.MemorySystem](llc *cachesim.Cache, name string, srcs []Source, mlp int, ms MS, nm, fm *memsys.Device, sys config.System, smp *telemetry.Sampler) Result {
 	if llc == nil {
 		llc = new(cachesim.Cache)
@@ -271,14 +282,14 @@ func runLoop[MS memtypes.MemorySystem](llc *cachesim.Cache, name string, srcs []
 	cores := make([]*cpu.Core, n)
 	st := make([]coreState, n)
 	bufs := make([]memtypes.Rec, n*batchLen)
-	heap := make([]int32, n)
+	heap := make([]slot, n)
 	for i := range cores {
 		cores[i] = cpu.New(config.IssueWidth, mlp)
 		st[i] = coreState{src: srcs[i], buf: bufs[i*batchLen : (i+1)*batchLen]}
 		if bs, ok := srcs[i].(BatchSource); ok {
 			st[i].bsrc = bs
 		}
-		heap[i] = int32(i)
+		heap[i] = slot{i: int32(i)}
 	}
 	// The initial heap [0..n-1] is valid: all times are zero and parents
 	// have smaller indices than their children.
@@ -286,7 +297,7 @@ func runLoop[MS memtypes.MemorySystem](llc *cachesim.Cache, name string, srcs []
 	for len(heap) > 0 {
 		// Advance the earliest core: keeps memory-system calls in
 		// near-time order so device contention is modeled consistently.
-		sel := heap[0]
+		sel := heap[0].i
 		cs := &st[sel]
 		c := cores[sel]
 		if cs.head == cs.n {
@@ -307,11 +318,10 @@ func runLoop[MS memtypes.MemorySystem](llc *cachesim.Cache, name string, srcs []
 			if cs.n == 0 {
 				c.DrainMisses()
 				last := len(heap) - 1
-				heap[0] = heap[last]
-				heap = heap[:last]
-				if len(heap) > 1 {
-					siftDown(heap, 0, cores)
+				if last > 0 {
+					siftDown(heap[:last], heap[last])
 				}
+				heap = heap[:last]
 				continue
 			}
 		}
@@ -359,9 +369,7 @@ func runLoop[MS memtypes.MemorySystem](llc *cachesim.Cache, name string, srcs []
 				sNext = sInstr - sInstr%w + w
 			}
 		}
-		if len(heap) > 1 {
-			siftDown(heap, 0, cores)
-		}
+		siftDown(heap, slot{c.Time, sel})
 	}
 
 	var cycles memtypes.Tick
