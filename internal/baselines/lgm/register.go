@@ -1,6 +1,7 @@
 package lgm
 
 import (
+	"hybridmem/internal/baselines/migcommon"
 	"hybridmem/internal/config"
 	"hybridmem/internal/design"
 	"hybridmem/internal/memsys"
@@ -15,10 +16,19 @@ func init() {
 		Order:   3,
 		NeedsNM: true,
 		Build: func(_ design.Spec, sys config.System, nm, fm *memsys.Device) (memtypes.MemorySystem, error) {
-			cfg := Default(sys.NMBytes, sys.FMBytes, design.RemapEntries(sys), sys.Seed)
-			cfg.IntervalCycles = memtypes.Tick(sys.IntervalCycles())
-			cfg.Watermark = 32
-			return New(cfg, nm, fm), nil
+			return New(sysConfig(sys), nm, fm), nil
+		},
+		LayoutKey: func(_ design.Spec, sys config.System) any {
+			cfg := sysConfig(sys)
+			return migcommon.LayoutKey(cfg.SectorBytes, cfg.NMBytes, cfg.FMBytes, cfg.Seed)
 		},
 	})
+}
+
+// sysConfig is the registered configuration for a scaled system.
+func sysConfig(sys config.System) Config {
+	cfg := Default(sys.NMBytes, sys.FMBytes, design.RemapEntries(sys), sys.Seed)
+	cfg.IntervalCycles = memtypes.Tick(sys.IntervalCycles())
+	cfg.Watermark = 32
+	return cfg
 }

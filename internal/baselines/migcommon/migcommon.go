@@ -41,22 +41,26 @@ type Space struct {
 // to their capacities (§4, "memory pages are allocated randomly ...").
 // The permutation is derived from seed, so runs are reproducible.
 func NewSpace(sectorBytes int, nmBytes, fmBytes uint64, nm, fm *memsys.Device, stats *memtypes.MemStats, seed uint64) *Space {
-	nmSec := uint32(nmBytes / uint64(sectorBytes))
-	fmSec := uint32(fmBytes / uint64(sectorBytes))
-	total := nmSec + fmSec
+	k := placementKeyOf(sectorBytes, nmBytes, fmBytes, seed)
 	s := &Space{
 		SectorBytes:    sectorBytes,
-		NMSectors:      nmSec,
-		FMSectors:      fmSec,
+		NMSectors:      k.nmSec,
+		FMSectors:      k.fmSec,
 		nm:             nm,
 		fm:             fm,
 		stats:          stats,
-		remapTableBase: memtypes.Addr(nmBytes) - memtypes.Addr(total)*8,
+		remapTableBase: memtypes.Addr(nmBytes) - memtypes.Addr(k.nmSec+k.fmSec)*8,
 	}
-	k := placementKey{seed, nmSec, fmSec}
-	p := cow.Shared(k, k.build)
+	p := cow.Shared(k, k.build).Fork()
 	s.remap, s.nmOwner, s.fmOwner = p.remap, p.nmOwner, p.fmOwner
 	return s
+}
+
+// LayoutKey returns the cow.Shared key under which NewSpace, given the
+// same arguments, requests its initial placement: the LayoutKey of the
+// families built on a Space (see design.Info).
+func LayoutKey(sectorBytes int, nmBytes, fmBytes uint64, seed uint64) any {
+	return placementKeyOf(sectorBytes, nmBytes, fmBytes, seed)
 }
 
 // placementKey identifies an initial placement.
@@ -64,6 +68,12 @@ type placementKey struct {
 	seed  uint64
 	nmSec uint32
 	fmSec uint32
+}
+
+// placementKeyOf returns the key of NewSpace's placement for its
+// arguments.
+func placementKeyOf(sectorBytes int, nmBytes, fmBytes uint64, seed uint64) placementKey {
+	return placementKey{seed, uint32(nmBytes / uint64(sectorBytes)), uint32(fmBytes / uint64(sectorBytes))}
 }
 
 // placement is the initial remap/owner triple, shared through cow.

@@ -189,6 +189,7 @@ func (n *node) registerMetrics() {
 	}
 	r.RegisterCounter("hybridmem_sims_total", "Simulations actually executed (store and memo hits excluded).", &n.sims)
 	r.RegisterCounter("hybridmem_cluster_node_shards_total", "Shard RPCs this node answered successfully.", &n.shards)
+	exp.RegisterLayoutMetrics(r)
 	if st := n.exec.Store; st != nil {
 		stat := func(f func(store.Stats) float64) func() float64 {
 			return func() float64 { return f(st.Stats()) }

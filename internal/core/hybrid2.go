@@ -154,8 +154,12 @@ type Hybrid2 struct {
 	flatSectors uint32 // slots initially holding flat data
 	fmSectors   uint32
 
-	remap     cow.Table[uint32] // logical sector -> packed location (see lookup)
-	invRemap  cow.Table[uint32] // NM slot -> logical sector (invalidLogical if none)
+	remap    cow.Table[uint32] // logical sector -> packed location (see lookup)
+	invRemap cow.Table[uint32] // NM slot -> logical sector (invalidLogical if none)
+	// layout is the read-only placement remap and invRemap were forked
+	// from, and layoutKey its key.
+	layoutKey placementKey
+	layout    placement
 	slotState []uint8
 	freeNM    []uint32 // slotCacheFree slots available for 2b allocations
 	freeFM    []uint32 // FM slots with no live data (Free-FM-Stack)
@@ -233,7 +237,8 @@ func New(cfg Config, nm, fm *memsys.Device) *Hybrid2 {
 //   - XTA entries are cleared from the list of entries filled;
 //   - NM slot states are restored from the list of slots changed;
 //   - freeNM is refilled above the lowest height it reached;
-//   - the remap tables are forked afresh from the shared placement.
+//   - the remap tables are forked afresh from the pristine placement,
+//     which h keeps across resets to an equal placement key.
 //
 // Arrays whose capacity covers cfg's geometry are kept. The geometry is
 // checked as in New before h changes.
@@ -245,9 +250,8 @@ func (h *Hybrid2) Reset(cfg Config, nm, fm *memsys.Device) {
 	if lps > 64 {
 		panic("core: more than 64 lines per sector unsupported")
 	}
-	metaBytes := cfg.NMBytes * uint64(cfg.MetaFracPermille) / 1000
-	pool := uint32((cfg.NMBytes - metaBytes) / uint64(cfg.SectorBytes))
-	cacheSlots := uint32(cfg.CacheBytes / uint64(cfg.SectorBytes))
+	k := placementKeyOf(cfg)
+	pool, cacheSlots := k.cacheSlots+k.flat, k.cacheSlots
 	if cacheSlots == 0 || cacheSlots >= pool {
 		panic("core: cache slice must be a non-zero strict subset of NM")
 	}
@@ -255,8 +259,6 @@ func (h *Hybrid2) Reset(cfg Config, nm, fm *memsys.Device) {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic("core: XTA set count must be a positive power of two")
 	}
-	flat := pool - cacheSlots
-	fmSec := uint32(cfg.FMBytes / uint64(cfg.SectorBytes))
 
 	// Undo the last run: afterwards every entry is zero, and slot s holds
 	// slotCacheFree below the old cache size and slotFlat above it.
@@ -305,8 +307,8 @@ func (h *Hybrid2) Reset(cfg Config, nm, fm *memsys.Device) {
 		sets:           sets,
 		entries:        resize(h.entries, int(cacheSlots)),
 		poolSectors:    pool,
-		flatSectors:    flat,
-		fmSectors:      fmSec,
+		flatSectors:    k.flat,
+		fmSectors:      k.fmSec,
 		slotState:      slotState[:pool],
 		freeNM:         freeNM,
 		freeFM:         freeFM,
@@ -317,17 +319,18 @@ func (h *Hybrid2) Reset(cfg Config, nm, fm *memsys.Device) {
 		nextReset:      cfg.FMBudgetReset,
 		metaBase:       memtypes.Addr(pool) * memtypes.Addr(cfg.SectorBytes),
 		unused:         h.unused,
+		layoutKey:      h.layoutKey,
+		layout:         h.layout,
 	}
 
-	// Initial placement. Normal modes: logical sectors spread randomly
-	// over flat NM + FM proportionally to capacity (§4); occupied NM slots
-	// stay in state slotFlat, the slice's zero value. CacheOnly: the flat
-	// NM region is unused and everything lives in FM at its home.
-	k := placementKey{flat: flat, fmSec: fmSec, cacheSlots: cacheSlots, cacheOnly: cfg.Mode == CacheOnly}
-	if !k.cacheOnly {
-		k.seed = cfg.Seed
+	// Initial placement (see placementKeyOf), forked from the pristine
+	// layout of the last reset when its key is equal, else from the
+	// memo's; occupied NM slots stay in state slotFlat, the slice's zero
+	// value.
+	if h.layout.remap.Len() == 0 || h.layoutKey != k {
+		h.layoutKey, h.layout = k, cow.Shared(k, k.build)
 	}
-	p := cow.Shared(k, k.build)
+	p := h.layout.Fork()
 	h.remap, h.invRemap = p.remap, p.invRemap
 	if cfg.FreeSpaceAware {
 		h.unused = resize(h.unused, h.remap.Len())
@@ -364,6 +367,29 @@ type placementKey struct {
 	fmSec      uint32
 	cacheSlots uint32
 	cacheOnly  bool
+}
+
+// placementKeyOf returns the key of cfg's initial placement, from which
+// Reset also takes the NM pool's split: cacheSlots cache slots and flat
+// flat slots (their sum, in uint32 arithmetic, is the pool even when the
+// cache does not fit), and fmSec FM slots. Normal modes spread the
+// logical sectors randomly over flat NM + FM proportionally to capacity
+// (§4); in CacheOnly the flat NM region is unused and everything lives in
+// FM at its home. The registered families' LayoutKey is this key.
+func placementKeyOf(cfg Config) placementKey {
+	metaBytes := cfg.NMBytes * uint64(cfg.MetaFracPermille) / 1000
+	pool := uint32((cfg.NMBytes - metaBytes) / uint64(cfg.SectorBytes))
+	cacheSlots := uint32(cfg.CacheBytes / uint64(cfg.SectorBytes))
+	k := placementKey{
+		flat:       pool - cacheSlots,
+		fmSec:      uint32(cfg.FMBytes / uint64(cfg.SectorBytes)),
+		cacheSlots: cacheSlots,
+		cacheOnly:  cfg.Mode == CacheOnly,
+	}
+	if !k.cacheOnly {
+		k.seed = cfg.Seed
+	}
+	return k
 }
 
 // placement is the initial remap/invRemap pair, shared through cow.

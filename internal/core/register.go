@@ -25,12 +25,20 @@ func clampTick(v uint64) memtypes.Tick {
 	return memtypes.Tick(v)
 }
 
-// register adds a family whose setup resets a Hybrid2 in place for a
-// spec; every family's Reset accepts any family's Hybrid2 (see
-// design.Resettable).
-func register(info design.Info, setup func(h *Hybrid2, spec design.Spec, sys config.System, nm, fm *memsys.Device)) {
+// register adds a family whose runs configure a Hybrid2 through cfgOf;
+// after, when non-nil, adjusts the organization once it is reset. Every
+// family's Reset accepts any family's Hybrid2 (see design.Resettable),
+// and its LayoutKey is the placement key Reset derives from cfgOf's
+// configuration.
+func register(info design.Info, cfgOf func(spec design.Spec, sys config.System) Config, after func(h *Hybrid2, spec design.Spec)) {
 	info.NeedsNM = true
-	design.Register(design.Resettable(info, setup))
+	info.LayoutKey = func(spec design.Spec, sys config.System) any { return placementKeyOf(cfgOf(spec, sys)) }
+	design.Register(design.Resettable(info, func(h *Hybrid2, spec design.Spec, sys config.System, nm, fm *memsys.Device) {
+		h.Reset(cfgOf(spec, sys), nm, fm)
+		if after != nil {
+			after(h, spec)
+		}
+	}))
 }
 
 func init() {
@@ -39,9 +47,7 @@ func init() {
 		Doc:   "the paper's full design: sectored DRAM cache + migration + remap",
 		Kind:  design.KindMain,
 		Order: 6,
-	}, func(h *Hybrid2, _ design.Spec, sys config.System, nm, fm *memsys.Device) {
-		h.Reset(h2cfg(sys), nm, fm)
-	})
+	}, func(_ design.Spec, sys config.System) Config { return h2cfg(sys) }, nil)
 
 	for i, v := range []struct {
 		name, doc string
@@ -58,11 +64,11 @@ func init() {
 			Doc:   v.doc,
 			Kind:  design.KindVariant,
 			Order: 2 + i,
-		}, func(h *Hybrid2, _ design.Spec, sys config.System, nm, fm *memsys.Device) {
+		}, func(_ design.Spec, sys config.System) Config {
 			cfg := h2cfg(sys)
 			cfg.Mode = mode
-			h.Reset(cfg, nm, fm)
-		})
+			return cfg
+		}, nil)
 	}
 
 	register(design.Info{
@@ -97,7 +103,7 @@ func init() {
 			}
 			return nil
 		},
-	}, func(h *Hybrid2, spec design.Spec, sys config.System, nm, fm *memsys.Device) {
+	}, func(spec design.Spec, sys config.System) Config {
 		cfg := h2cfg(sys)
 		val := spec.Int("val")
 		switch spec.Raw("knob") {
@@ -111,13 +117,15 @@ func init() {
 			cfg.Assoc = val
 		case "free": // §3.8 extension with val/1000 of memory hinted free
 			cfg.FreeSpaceAware = true
-			h.Reset(cfg, nm, fm)
-			total := uint64(h.Sectors()) * uint64(cfg.SectorBytes)
-			freeBytes := total * uint64(val) / 1000
-			h.MarkFree(memtypes.Addr(total-freeBytes), freeBytes)
+		}
+		return cfg
+	}, func(h *Hybrid2, spec design.Spec) {
+		if spec.Raw("knob") != "free" {
 			return
 		}
-		h.Reset(cfg, nm, fm)
+		total := uint64(h.Sectors()) * uint64(h.cfg.SectorBytes)
+		freeBytes := total * uint64(spec.Int("val")) / 1000
+		h.MarkFree(memtypes.Addr(total-freeBytes), freeBytes)
 	})
 
 	register(design.Info{
@@ -141,12 +149,12 @@ func init() {
 			}
 			return nil
 		},
-	}, func(h *Hybrid2, spec design.Spec, sys config.System, nm, fm *memsys.Device) {
+	}, func(spec design.Spec, sys config.System) Config {
 		cacheBytes := uint64(spec.Int("cacheMB")) << 20 / uint64(sys.Scale)
 		cfg := Default(sys.NMBytes, sys.FMBytes, cacheBytes, sys.Seed)
 		cfg.FMBudgetReset = clampTick(sys.FMBudgetResetCycles())
 		cfg.SectorBytes = spec.Int("sectorKB") << 10
 		cfg.LineBytes = spec.Int("lineB")
-		h.Reset(cfg, nm, fm)
-	})
+		return cfg
+	}, nil)
 }

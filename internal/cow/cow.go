@@ -12,28 +12,38 @@
 // A Table is a fixed-length array split into pages of pageLen elements.
 // Fork copies only the page pointers; the first write to a page still
 // shared with the parent copies just that page. Shared builds a layout
-// once per key and hands each caller a fork, so a build costs
-// O(pages) and a run copies only the pages it writes, while every read
-// sees exactly the values a private table would hold. A periodic layout
-// (CAMEO's) needs no memo: Repeat builds it in O(pages) from one period,
-// sharing the pages that have equal contents.
+// once per key and returns the pinned layout, which callers fork, so a
+// build costs O(pages) and a run copies only the pages it writes, while
+// every read sees exactly the values a private table would hold. A
+// caller may keep the pristine layout it forked and fork it again for a
+// later run of the same key, without asking the memo: a fork already
+// references every page of its parent, so keeping the parent pins no
+// extra memory. A periodic layout (CAMEO's) needs no memo: Repeat builds
+// it in O(pages) from one period, sharing the pages that have equal
+// contents.
 //
-// The memo pins a layout at its key's first sighting and hands every
-// caller, the first included, a fork of it; concurrent callers of a key
-// wait for its one pinning build instead of repeating it, so every key is
-// built once for as long as it stays in the memo. A one-off key, such as
-// a cold server request's seed, costs the same single build and stays
-// resident only until newer keys evict it. At most memoMax keys are
-// pinned, the least recently used evicted first, which is enough for the
-// repeats that matter: the same placement serves every workload of a
-// sweep or search candidate, and every design variant that shares its
-// geometry.
+// The memo pins a layout at its key's first sighting and returns it to
+// every caller, the first included; concurrent callers of a key wait for
+// its one pinning build instead of repeating it, so every key is built
+// once for as long as it stays in the memo. A one-off key, such as a cold
+// server request's seed, costs the same single build and stays resident
+// only until newer keys evict it. At most memoMax keys are pinned, the
+// least recently used evicted first, which is enough for the repeats that
+// matter: the same placement serves every workload of a sweep or search
+// candidate, and every design variant that shares its geometry. Callers
+// that can name the key before building (see design.Info.LayoutKey)
+// schedule runs of one key together, so a key's second caller rarely
+// arrives while its build is still running, and Touch the keys they are
+// about to use, so that a build evicts a key they do not need first.
+// ReadStats counts the builds and the blocking waits.
 package cow
 
 import (
 	"hash/maphash"
 	"slices"
 	"sync"
+	"sync/atomic"
+	"time"
 )
 
 const (
@@ -176,46 +186,109 @@ type entry struct {
 var (
 	memoMu sync.Mutex
 	memo   []*entry // least recently used first
+	// requests counts Shared calls and lastKey is the latest one's key,
+	// for LastRequest.
+	requests int64
+	lastKey  any
 )
 
-// Shared returns a fork of the initial layout for key, which build must
-// compute as a pure function of key. The first sighting of a key builds
-// and pins the layout; every later caller, including one that arrives
-// while the build is running, gets a fork of it without building. Keys
-// must be comparable values whose type identifies the family, so keys of
+// Shared returns the pinned initial layout for key, which build must
+// compute as a pure function of key. The layout is read-only: callers
+// Fork it and write only the fork. The first sighting of a key builds and
+// pins the layout; every later caller, including one that arrives while
+// the build is running, gets the same layout without building. Keys must
+// be comparable values whose type identifies the family, so keys of
 // different families never collide.
 func Shared[V Layout[V]](key any, build func() V) V {
 	memoMu.Lock()
-	i := slices.IndexFunc(memo, func(m *entry) bool { return m.key == key })
-	if i < 0 {
-		e := &entry{key: key, built: make(chan struct{})}
+	requests++
+	lastKey = key
+	e := use(key)
+	if e == nil {
+		e = &entry{key: key, built: make(chan struct{})}
 		if len(memo) >= memoMax {
 			memo = slices.Delete(memo, 0, 1)
 		}
 		memo = append(memo, e)
 		memoMu.Unlock()
-		return pin(e, build).Fork()
+		return pin(e, build)
+	}
+	memoMu.Unlock()
+	// The layout is set before built is closed.
+	select {
+	case <-e.built:
+	default:
+		t0 := time.Now()
+		<-e.built
+		waits.Add(1)
+		waitNanos.Add(int64(time.Since(t0)))
+	}
+	if e.layout == nil {
+		builds.Add(1)
+		return build()
+	}
+	return e.layout.(V)
+}
+
+// Touch makes key, when the memo holds it, the most recently used, so
+// that newer keys evict the others first.
+func Touch(key any) {
+	memoMu.Lock()
+	defer memoMu.Unlock()
+	use(key)
+}
+
+// use returns key's entry, made the most recently used, or nil when the
+// memo does not hold key. memoMu must be held.
+func use(key any) *entry {
+	i := slices.IndexFunc(memo, func(m *entry) bool { return m.key == key })
+	if i < 0 {
+		return nil
 	}
 	e := memo[i]
 	memo = append(slices.Delete(memo, i, i+1), e)
-	memoMu.Unlock()
-	// The layout is set before built is closed.
-	<-e.built
-	if e.layout == nil {
-		return build()
-	}
-	return e.layout.(V).Fork()
+	return e
 }
 
 // pin builds e's layout and publishes it. A build that panics leaves no
 // layout, and later callers of the key build privately.
 func pin[V Layout[V]](e *entry, build func() V) V {
 	defer close(e.built)
+	builds.Add(1)
 	v := build()
 	memoMu.Lock()
 	e.layout = v
 	memoMu.Unlock()
 	return v
+}
+
+// The memo's work over the process's lifetime, for ReadStats.
+var builds, waits, waitNanos atomic.Int64
+
+// Stats is the memo's work since the process started.
+type Stats struct {
+	// Builds counts layout builds: one per key sighted while not in the
+	// memo, plus private builds after a failed one.
+	Builds int64
+	// Waits counts callers that blocked on another caller's build of
+	// their key, and Wait is their total blocked time.
+	Waits int64
+	Wait  time.Duration
+}
+
+// ReadStats returns the memo's counters. They only grow; Reset leaves
+// them as they are.
+func ReadStats() Stats {
+	return Stats{Builds: builds.Load(), Waits: waits.Load(), Wait: time.Duration(waitNanos.Load())}
+}
+
+// LastRequest returns the number of Shared calls so far and the key of
+// the latest one (nil before the first), so tests can check which key a
+// constructor requests.
+func LastRequest() (n int64, key any) {
+	memoMu.Lock()
+	defer memoMu.Unlock()
+	return requests, lastKey
 }
 
 // Pinned returns the layouts the memo pins, by key, so tests can

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // lengths covers empty, partial, exact and multi-page tables.
@@ -135,18 +136,20 @@ func (k testKey) want() []uint32 {
 	return out
 }
 
-// layoutFor returns a Shared call for k that counts its builds.
+// layoutFor returns a Shared call for k that counts its builds and
+// forks the pinned layout, as every caller must.
 func layoutFor(k testKey, builds *atomic.Int32) func() testLayout {
 	return func() testLayout {
 		return Shared(k, func() testLayout {
 			builds.Add(1)
 			return testLayout{filled(k.want())}
-		})
+		}).Fork()
 	}
 }
 
 // TestSharedSightings pins the memo policy: the first sighting builds
-// and pins the layout and, like every later sighting, gets a fork of it;
+// and pins the layout and, like every later sighting, gets the pinned
+// layout itself, which the caller forks;
 // later sightings never build; and the memo holds memoMax keys, evicting
 // the least recently used, so an evicted key is built again.
 func TestSharedSightings(t *testing.T) {
@@ -161,8 +164,8 @@ func TestSharedSightings(t *testing.T) {
 	if builds.Load() != 1 || !ok {
 		t.Fatalf("first sighting: %d builds, pinned %v; want 1 build, pinned", builds.Load(), ok)
 	}
-	if first.t.shared == nil {
-		t.Fatal("first sighting returned the pinned table itself, want a fork")
+	if p := Shared(k, func() testLayout { return testLayout{} }); p.t.shared != nil || p.Sum() != pinned.Sum() {
+		t.Fatal("Shared returned a fork or another layout, want the pinned one")
 	}
 	sum := pinned.Sum()
 	second := get()
@@ -260,4 +263,74 @@ func TestSharedBuildPanics(t *testing.T) {
 	}
 	l := layoutFor(k, new(atomic.Int32))()
 	check(t, "after failed build", &l.t, k.want())
+}
+
+// TestSharedCountsWaits checks the memo's counters: a key's pinning
+// build counts once, and a caller that arrives while it runs counts one
+// blocking wait covering the time it blocked.
+func TestSharedCountsWaits(t *testing.T) {
+	Reset()
+	defer Reset()
+	k := testKey{n: 8, seed: 2}
+	before := ReadStats()
+	release, started := make(chan struct{}), make(chan struct{})
+	go func() {
+		<-started
+		time.Sleep(100 * time.Millisecond)
+		close(release)
+	}()
+	done := make(chan testLayout)
+	go func() {
+		done <- Shared(k, func() testLayout {
+			close(started)
+			<-release
+			return testLayout{filled(k.want())}
+		})
+	}()
+	<-started
+	waiter := Shared(k, func() testLayout {
+		t.Error("a caller of a key being built built it again")
+		return testLayout{}
+	})
+	pinned := <-done
+	if waiter.Sum() != pinned.Sum() {
+		t.Fatal("the waiting caller got another layout")
+	}
+	got := ReadStats()
+	if got.Builds-before.Builds != 1 || got.Waits-before.Waits != 1 {
+		t.Fatalf("%d builds, %d waits; want 1 and 1", got.Builds-before.Builds, got.Waits-before.Waits)
+	}
+	if got.Wait-before.Wait <= 0 {
+		t.Fatalf("wait time %v, want > 0", got.Wait-before.Wait)
+	}
+	Shared(k, func() testLayout { return testLayout{} })
+	if after := ReadStats(); after != got {
+		t.Fatalf("a caller of a pinned key changed the counters: %+v -> %+v", got, after)
+	}
+}
+
+// TestTouchKeepsKey checks that touching a key the memo holds makes it
+// the most recently used, so the next new key evicts the other one, and
+// that touching an absent key changes nothing.
+func TestTouchKeepsKey(t *testing.T) {
+	Reset()
+	defer Reset()
+	var builds atomic.Int32
+	a, b := testKey{n: 1, seed: 1}, testKey{n: 1, seed: 2}
+	layoutFor(a, &builds)()
+	layoutFor(b, new(atomic.Int32))()
+	Touch(a)
+	Touch(testKey{n: 1, seed: 3})
+	layoutFor(testKey{n: 1, seed: 4}, new(atomic.Int32))()
+	pinned := Pinned()
+	if _, ok := pinned[a]; !ok {
+		t.Fatal("the touched key was evicted")
+	}
+	if _, ok := pinned[b]; ok || len(pinned) != memoMax {
+		t.Fatalf("%d keys pinned, the untouched key among them: %v", len(pinned), ok)
+	}
+	layoutFor(a, &builds)()
+	if builds.Load() != 1 {
+		t.Fatalf("the touched key was built %d times, want 1", builds.Load())
+	}
 }

@@ -143,6 +143,13 @@ type Info struct {
 	// Reset, when non-nil, lets Spec.Rebuild recycle an organization of
 	// an earlier run instead of building a new one.
 	Reset Resetter
+	// LayoutKey, when non-nil, returns the key under which Build and
+	// Reset request the family's initial layout from cow.Shared for spec
+	// and sys. Families derive it through the function their setup uses,
+	// so the two cannot diverge. Runs with equal keys share one layout
+	// build, and the engine schedules them together (see Spec.LayoutKey).
+	// Families without a shared layout leave it nil.
+	LayoutKey func(spec Spec, sys config.System) any
 }
 
 // Resettable returns info with Build and Reset both derived from setup,
@@ -458,6 +465,21 @@ func (s Spec) Rebuild(prev memtypes.MemorySystem, sys config.System) (ms memtype
 		return nil, nil, nil, false, err
 	}
 	return ms, nm, fm, false, nil
+}
+
+// LayoutKey returns the cow.Shared key of spec's initial layout for sys,
+// or nil when the family shares no layout. A derivation that panics, on
+// a geometry Build would also reject, returns nil.
+func (s Spec) LayoutKey(sys config.System) (key any) {
+	if s.Info == nil || s.Info.LayoutKey == nil {
+		return nil
+	}
+	defer func() {
+		if recover() != nil {
+			key = nil
+		}
+	}()
+	return s.Info.LayoutKey(s, sys)
 }
 
 // reset runs the family's Reset on prev, taking a panic as a refusal.

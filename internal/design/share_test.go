@@ -129,3 +129,62 @@ func TestSharedLayoutsIsolated(t *testing.T) {
 		}
 	}
 }
+
+// TestLayoutKeyMatchesBuild checks each family's LayoutKey against the
+// key its build requests from cow.Shared (see cow.LastRequest): equal
+// when the build requests a layout, nil when it requests none. It covers
+// every registered family's sample name and every enumerated H2DSE, MPOD
+// and LGM point, at scales 16 and 64 and two seeds. A point whose build
+// the geometry rejects requests nothing and is skipped, but every family
+// must build at least once.
+func TestLayoutKeyMatchesBuild(t *testing.T) {
+	defer cow.Reset()
+	var specs []design.Spec
+	for _, info := range design.AllInfos() {
+		spec, err := design.Parse(info.SampleName())
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, spec)
+	}
+	for _, name := range []string{"H2DSE", "MPOD", "LGM"} {
+		info, ok := design.LookupInfo(name)
+		if !ok {
+			t.Fatalf("no family %s", name)
+		}
+		enum, err := info.Enumerate(design.EnumOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, enum...)
+	}
+	built := map[string]int{}
+	for _, scale := range []int{16, 64} {
+		for _, seed := range []uint64{1, 0x5EED} {
+			sys := config.Scaled(scale, 1)
+			sys.Seed = seed
+			for _, spec := range specs {
+				before, _ := cow.LastRequest()
+				if _, _, _, err := spec.Build(sys); err != nil {
+					continue
+				}
+				built[spec.Info.Name]++
+				n, key := cow.LastRequest()
+				want := spec.LayoutKey(sys)
+				switch {
+				case n > before+1:
+					t.Errorf("%s scale %d seed %d: the build requested %d layouts", spec.Name, scale, seed, n-before)
+				case n == before && want != nil:
+					t.Errorf("%s scale %d seed %d: LayoutKey %#v, but the build requested no layout", spec.Name, scale, seed, want)
+				case n == before+1 && key != want:
+					t.Errorf("%s scale %d seed %d: LayoutKey %#v, but the build requested %#v", spec.Name, scale, seed, want, key)
+				}
+			}
+		}
+	}
+	for _, info := range design.AllInfos() {
+		if built[info.Name] == 0 {
+			t.Errorf("%s: no point built, so its LayoutKey went unchecked", info.Name)
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"hybridmem/internal/cow"
+	"hybridmem/internal/workload"
 )
 
 func designSpecs(designs ...string) []RunSpec {
@@ -25,7 +26,7 @@ func designSpecs(designs ...string) []RunSpec {
 // started a free worker helps with any queued run.
 func TestRunQueueDesignAffinity(t *testing.T) {
 	specs := designSpecs("A", "B", "C", "A", "B", "C", "A", "B", "C")
-	q := newRunQueue(len(specs), func(i int) string { return specs[i].Design })
+	q := newRunQueue(len(specs), func(i int) any { return specs[i].Design })
 	got := [2][]int{}
 	last := [2]int{-1, -1}
 	for w := 0; ; w ^= 1 {
@@ -140,5 +141,89 @@ func TestOneDesignBatchNotSerialized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
+	}
+}
+
+// TestRunQueueSlotAndReadyPreference steps three workers through a batch
+// by hand. A worker whose slot last ran group B starts on B, ahead of
+// the unstarted A. Once every group is started, a free worker joins B,
+// whose first run has finished, rather than the earlier-ordered C, whose
+// first run is still in flight.
+func TestRunQueueSlotAndReadyPreference(t *testing.T) {
+	specs := designSpecs("A", "C", "C", "C", "B", "B", "B")
+	q := newRunQueue(len(specs), func(i int) any { return specs[i].Design })
+	step := func(w string, g *int, want int) {
+		t.Helper()
+		i, ok := q.next(g)
+		if !ok || i != want {
+			t.Fatalf("%s: got run %d (ok %v), want %d", w, i, ok, want)
+		}
+	}
+	gB := q.find("B")
+	if gB < 0 || q.find("D") != -1 || q.find(nil) != -1 {
+		t.Fatalf("find: B at %d, D at %d, nil at %d", gB, q.find("D"), q.find(nil))
+	}
+	step("slot of B", &gB, 4)
+	gA, gC := -1, -1
+	step("first free", &gA, 0)
+	step("second free", &gC, 1)
+	if key := q.done(gB); key != "B" {
+		t.Fatalf("done returned %v, want B", key)
+	}
+	step("B again", &gB, 5)
+	q.done(gA)
+	step("A emptied", &gA, 6) // B is ready; C's first run is in flight
+	step("A to C", &gA, 2)
+	step("B emptied", &gB, 3)
+	if _, ok := q.next(&gC); ok {
+		t.Fatal("queue handed out a run after the batch was exhausted")
+	}
+}
+
+// TestLayoutKeyedDispatch runs a batch whose designs share initial
+// layouts on two lockstep workers: H2DSE-64-2-256 and -512 differ in
+// line size only and share one Hybrid2 placement, H2DSE-128-2-256 has
+// another. Grouped by layout, each key is built exactly once and no
+// worker ever blocks on the other's build. Grouped by design name, the
+// second worker would start -512 while the first builds the placement
+// -256 shares with it, and wait.
+func TestLayoutKeyedDispatch(t *testing.T) {
+	cow.Reset()
+	defer cow.Reset()
+	r := &Runner{Scale: 16, InstrPerCore: 3_000, Seed: 3, Parallelism: 2}
+	for _, name := range []string{"mcf", "lbm", "xz", "namd"} {
+		wl, _ := workload.ByName(name)
+		r.Subset = append(r.Subset, wl)
+	}
+	specs := r.SweepSpecs([]string{"H2DSE-64-2-256", "H2DSE-64-2-512", "H2DSE-128-2-256"}, []int{1})
+	keys := map[any]bool{}
+	for _, rs := range specs {
+		keys[r.group(rs)] = true
+	}
+	if len(keys) != 2 {
+		t.Fatalf("%d dispatch groups, want 2 layout keys", len(keys))
+	}
+	before := cow.ReadStats()
+	var m meeting
+	errs := r.parallelSpecs(context.Background(), specs, func(i int, slot *runSlot) error {
+		if _, err := r.result(specs[i].Workload, specs[i].Design, specs[i].Ratio16, slot); err != nil {
+			return err
+		}
+		if !m.meet() {
+			return fmt.Errorf("run %d: the other worker never arrived", i)
+		}
+		return nil
+	})
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+	}
+	after := cow.ReadStats()
+	if n := after.Builds - before.Builds; n != int64(len(keys)) {
+		t.Errorf("%d layout builds for %d keys, want one each", n, len(keys))
+	}
+	if n := after.Waits - before.Waits; n != 0 {
+		t.Errorf("workers blocked %d times (%v) on each other's layout builds, want 0", n, after.Wait-before.Wait)
 	}
 }

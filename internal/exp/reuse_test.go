@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
+	"time"
 
 	"hybridmem/internal/design"
 	"hybridmem/internal/sim"
@@ -193,5 +195,131 @@ func TestReusePanicEmptiesSlot(t *testing.T) {
 	}()
 	if slot.ms != nil || slot.llc != nil {
 		t.Fatal("a run that panicked left state in its slot")
+	}
+}
+
+// TestReuseAcrossCalls runs two batches on one runner, serially and on
+// two workers. The second batch's design shares the first's layout, so
+// every one of its runs resets an organization, a worker's first run
+// included when the first call left one in the worker's slot: only a
+// worker whose slot came back empty, because the first call's runs all
+// went to the other worker, may build once. Every result equals a fresh
+// build's, and the runner keeps at most one idle slot per worker.
+func TestReuseAcrossCalls(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		r := &Runner{Scale: 16, InstrPerCore: 3_000, Seed: 9, Parallelism: workers}
+		for _, name := range []string{"mcf", "lbm", "xz", "namd"} {
+			wl, _ := workload.ByName(name)
+			r.Subset = append(r.Subset, wl)
+		}
+		for call, d := range []string{"H2DSE-64-2-256", "H2DSE-64-2-512"} {
+			specs := r.SweepSpecs([]string{d}, []int{1})
+			held := 0
+			for _, slot := range r.slots {
+				if slot.ms != nil {
+					held++
+				}
+			}
+			before := r.resets.Load()
+			res, errs := r.ResultsParallelEach(context.Background(), specs)
+			for i, rs := range specs {
+				if errs[i] != nil {
+					t.Fatalf("%d workers, call %d, run %d: %v", workers, call, i, errs[i])
+				}
+				want := freshResult(t, reuseRun{design: d, wl: rs.Workload, seed: 9, instr: 3_000})
+				if res[i] != want {
+					t.Fatalf("%d workers, call %d, %s/%s:\n got %+v\nwant %+v", workers, call, d, rs.Workload.Name, res[i], want)
+				}
+			}
+			if call == 1 {
+				resets := r.resets.Load() - before
+				if held == 0 || resets < int64(len(specs)-(workers-held)) {
+					t.Fatalf("%d workers: %d slots kept an organization, and the second call reset %d of %d runs",
+						workers, held, resets, len(specs))
+				}
+			}
+			if len(r.slots) > workers {
+				t.Fatalf("%d workers: the runner keeps %d idle slots", workers, len(r.slots))
+			}
+		}
+	}
+}
+
+// TestReusePanicReturnsEmptySlot checks that a run which panics
+// mid-simulation as a batch's last returns its slot to the runner empty,
+// so the next call's first run builds fresh and matches a fresh build.
+func TestReusePanicReturnsEmptySlot(t *testing.T) {
+	mcf, _ := workload.ByName("mcf")
+	lbm, _ := workload.ByName("lbm")
+	r := &Runner{Scale: 16, InstrPerCore: 3_000, Seed: 1, Parallelism: 1}
+	r.Telemetry = &TelemetryOptions{WindowInstr: 1024, OnEpoch: func(run int, _ telemetry.Epoch) {
+		if run == 1 {
+			panic("epoch hook failed")
+		}
+	}}
+	specs := []RunSpec{
+		{Workload: mcf, Design: "HYBRID2", Ratio16: 1},
+		{Workload: lbm, Design: "HYBRID2", Ratio16: 1}, // panics mid-run
+	}
+	if _, _, err := r.ResultsParallelSeries(context.Background(), specs, nil); err == nil {
+		t.Fatal("the panicking run reported no error")
+	}
+	if len(r.slots) != 1 || r.slots[0].ms != nil || r.slots[0].llc != nil {
+		t.Fatal("the panicked run's slot came back holding state")
+	}
+	before := r.resets.Load()
+	res, errs := r.ResultsParallelEach(context.Background(), specs[:1])
+	if errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	if r.resets.Load() != before {
+		t.Fatal("the run after the panic reset the panicked run's organization")
+	}
+	if want := freshResult(t, reuseRun{design: "HYBRID2", wl: mcf, seed: 1, instr: 3_000}); res[0] != want {
+		t.Fatalf("run after the panic:\n got %+v\nwant %+v", res[0], want)
+	}
+}
+
+// TestReuseConcurrentCallsOwnSlots runs batches from two goroutines at
+// once on one two-worker runner (run it under -race): no slot is ever
+// held by two runs at a time, and the runner ends with at most two idle
+// slots.
+func TestReuseConcurrentCallsOwnSlots(t *testing.T) {
+	r := &Runner{Parallelism: 2}
+	specs := designSpecs("A", "A", "B", "B", "C", "C", "D", "D")
+	var mu sync.Mutex
+	busy := map[*runSlot]bool{}
+	var wg sync.WaitGroup
+	for c := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				errs := r.parallelSpecs(context.Background(), specs, func(i int, slot *runSlot) error {
+					mu.Lock()
+					shared := busy[slot]
+					busy[slot] = true
+					mu.Unlock()
+					if shared {
+						return fmt.Errorf("call %d run %d: slot already held by another run", c, i)
+					}
+					time.Sleep(100 * time.Microsecond)
+					mu.Lock()
+					delete(busy, slot)
+					mu.Unlock()
+					return nil
+				})
+				for _, err := range errs {
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if len(r.slots) > 2 {
+		t.Fatalf("%d idle slots kept, want at most 2", len(r.slots))
 	}
 }

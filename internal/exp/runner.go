@@ -28,6 +28,7 @@ import (
 
 	"hybridmem/internal/cachesim"
 	"hybridmem/internal/config"
+	"hybridmem/internal/cow"
 	"hybridmem/internal/design"
 	_ "hybridmem/internal/design/all" // link every built-in organization into the registry
 	"hybridmem/internal/memtypes"
@@ -91,6 +92,9 @@ type Runner struct {
 	mu     sync.Mutex
 	memo   *store.LRU[memoVal]
 	flight *store.Flight[memoVal]
+	// slots holds the idle run slots of the runner's workers, kept across
+	// batches (see takeSlot).
+	slots []*runSlot
 	// resets counts the runs that reset a worker's organization instead
 	// of building one. Only tests read it.
 	resets atomic.Int64
@@ -200,6 +204,18 @@ func (r *Runner) MemoStats() store.LRUStats {
 	return memo.Stats()
 }
 
+// RegisterLayoutMetrics exports the work of the initial-layout memo the
+// runs of every runner in the process share (see cow.ReadStats) on r:
+// the layouts it built and the time runs spent blocked on another run's
+// build of their layout. Both are read at scrape time, so the run path
+// pays nothing for them.
+func RegisterLayoutMetrics(r *obs.Registry) {
+	r.CounterFunc("hybridmem_layout_builds_total", "Initial layouts built by the process's shared layout memo.",
+		func() float64 { return float64(cow.ReadStats().Builds) })
+	r.CounterFunc("hybridmem_layout_wait_seconds_total", "Seconds runs spent blocked on another run's build of their initial layout.",
+		func() float64 { return cow.ReadStats().Wait.Seconds() })
+}
+
 // runKey is the canonical store key of one (already ratio-normalized)
 // run of this runner.
 func (r *Runner) runKey(wl workload.Spec, designName string, ratio16 int) string {
@@ -293,13 +309,40 @@ func (r *Runner) Result(wl workload.Spec, designName string, ratio16 int) sim.Re
 }
 
 // runSlot is one worker's reusable run state: the organization and the
-// LLC of the worker's last run. A worker of parallelForEach owns one
-// slot for as long as it runs, so no state outlives the worker, and a
-// run empties the slot until it completes, so a run that panics leaves
-// the next one to build fresh.
+// LLC of the worker's last run, and that run's dispatch group (see
+// runQueue). A worker of parallelForEach holds one slot, taken from the
+// runner's idle slots, for as long as it runs and returns it when the
+// batch ends, so consecutive batches reuse it. A run empties the slot
+// until it completes, so a run that panics leaves the next one, in this
+// batch or a later one, to build fresh.
 type runSlot struct {
-	ms  memtypes.MemorySystem
-	llc *cachesim.Cache
+	ms    memtypes.MemorySystem
+	llc   *cachesim.Cache
+	group any
+}
+
+// takeSlot returns one of the runner's idle slots, or a new empty one.
+// A slot is held by one worker at a time.
+func (r *Runner) takeSlot() *runSlot {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := len(r.slots)
+	if n == 0 {
+		return new(runSlot)
+	}
+	slot := r.slots[n-1]
+	r.slots = r.slots[:n-1]
+	return slot
+}
+
+// putSlot returns a slot to the runner's idle slots, which keep at most
+// one slot per worker; any other slot is dropped.
+func (r *Runner) putSlot(slot *runSlot) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.slots) < r.workers() {
+		r.slots = append(r.slots, slot)
+	}
 }
 
 // simulate builds spec for sys and runs wl on it with smp attached (nil
@@ -353,21 +396,42 @@ func (r *Runner) parallelForCtx(ctx context.Context, n int, fn func(i int) error
 }
 
 // parallelSpecs is parallelForCtx over a batch of runs, dispatched by
-// design (see runQueue), with one error slot per run (nil on success)
-// instead of a joined error, so callers that need per-run granularity —
-// the cluster shard executor, the DSE evaluator — can tell exactly which
-// runs failed. fn gets the reuse slot of the worker it runs on.
+// the initial layout they share (see runQueue), with one error slot per
+// run (nil on success) instead of a joined error, so callers that need
+// per-run granularity — the cluster shard executor, the DSE evaluator —
+// can tell exactly which runs failed. fn gets the reuse slot of the
+// worker it runs on.
 func (r *Runner) parallelSpecs(ctx context.Context, specs []RunSpec, fn func(i int, slot *runSlot) error) []error {
-	return r.parallelForEach(ctx, len(specs), func(i int) string { return specs[i].Design }, fn)
+	groups := make([]any, len(specs))
+	for i, rs := range specs {
+		groups[i] = r.group(rs)
+	}
+	return r.parallelForEach(ctx, len(specs), func(i int) any { return groups[i] }, fn)
+}
+
+// group is the dispatch group of a run: the key of the initial layout
+// its build requests (see design.Spec.LayoutKey), or its design name
+// when it requests none or does not parse. Names and layout keys never
+// compare equal, as every family's key has a type of its own.
+func (r *Runner) group(rs RunSpec) any {
+	spec, err := design.Parse(rs.Design)
+	if err != nil {
+		return rs.Design
+	}
+	if key := spec.LayoutKey(r.system(rs.Ratio16)); key != nil {
+		return key
+	}
+	return rs.Design
 }
 
 // parallelForEach is the per-index core of parallelForCtx and
-// parallelSpecs. With a nil designOf, workers take indices in order;
-// otherwise designOf(i) names the design of index i and workers take
-// indices as runQueue describes. Each worker, or the serial loop, hands
-// fn its one runSlot. Cancellation and panic handling are as described
-// on parallelForCtx.
-func (r *Runner) parallelForEach(ctx context.Context, n int, designOf func(i int) string, fn func(i int, slot *runSlot) error) []error {
+// parallelSpecs. With a nil groupOf, workers take indices in order and
+// fn gets a fresh slot per worker; otherwise groupOf(i) is the dispatch
+// group of index i, workers take indices as runQueue describes, and each
+// worker, or the serial loop, holds one of the runner's slots (see
+// runSlot). Cancellation and panic handling are as described on
+// parallelForCtx.
+func (r *Runner) parallelForEach(ctx context.Context, n int, groupOf func(i int) any, fn func(i int, slot *runSlot) error) []error {
 	call := func(i int, slot *runSlot) (err error) {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -379,29 +443,55 @@ func (r *Runner) parallelForEach(ctx context.Context, n int, designOf func(i int
 		}()
 		return fn(i, slot)
 	}
+	// Unkeyed batches run on slots of their own, which die with the call.
+	take, put := r.takeSlot, r.putSlot
+	if groupOf == nil {
+		groupOf = func(int) any { return nil }
+		take, put = func() *runSlot { return new(runSlot) }, func(*runSlot) {}
+	}
+	// The batch's layouts that the memo holds become its most recently
+	// used, so the batch's first builds evict layouts it does not need.
+	q := newRunQueue(n, groupOf)
+	for _, key := range q.keys {
+		cow.Touch(key)
+	}
+	// A slot keeps its organization into a batch only for a group of the
+	// batch, whose first run it then serves: an organization reset to
+	// another group would only keep an earlier batch's high-water
+	// capacity resident.
+	start := func() (*runSlot, int) {
+		slot := take()
+		g := q.find(slot.group)
+		if g < 0 {
+			slot.ms = nil
+		}
+		return slot, g
+	}
 	errs := make([]error, n)
 	workers := min(r.workers(), n)
 	if workers <= 1 {
-		var slot runSlot
-		for i := 0; i < n; i++ {
-			errs[i] = call(i, &slot)
+		slot, _ := start()
+		for i := range n {
+			errs[i] = call(i, slot)
+			slot.group = groupOf(i)
 		}
+		put(slot)
 		return errs
 	}
-	q := newRunQueue(n, designOf)
 	var wg sync.WaitGroup
 	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var slot runSlot
-			last := -1
+			slot, g := start()
+			defer put(slot)
 			for {
-				i, ok := q.next(&last)
+				i, ok := q.next(&g)
 				if !ok {
 					return
 				}
-				errs[i] = call(i, &slot)
+				errs[i] = call(i, slot)
+				slot.group = q.done(g)
 			}
 		}()
 	}
@@ -409,68 +499,100 @@ func (r *Runner) parallelForEach(ctx context.Context, n int, designOf func(i int
 	return errs
 }
 
-// runQueue hands a batch's indices to workers with design affinity. Runs
-// of one design share an initial layout (cow.Shared builds it at the
-// design's first run and forks it for the rest), so a worker that frees
-// up takes, in order:
-//  1. the next queued run of the design it just ran;
-//  2. otherwise the first run of a design no worker has started;
-//  3. otherwise any queued run, so a batch of one design still uses
-//     every worker.
+// runQueue hands a batch's indices to workers with group affinity. The
+// runs of a group share one initial layout: a family's cow.Shared key
+// (see design.Info.LayoutKey), built at the group's first run and forked
+// for the rest, which may be of several designs. A worker that frees up
+// takes, in order:
+//  1. the next queued run of the group it just ran, or at the start of a
+//     batch of the group its slot last ran, whose layout it still holds;
+//  2. otherwise the first run of a group no worker has started;
+//  3. otherwise a queued run of a started group, preferring one whose
+//     first run has finished over one whose layout may still be in its
+//     build, so a batch of one group still uses every worker.
 //
-// Workers then build different designs' layouts in parallel instead of
-// one waiting on the other's build. Results land in input order
-// whatever order the runs execute in.
+// Workers then build different layouts in parallel instead of one
+// waiting on the other's build. Results land in input order whatever
+// order the runs execute in.
 type runQueue struct {
 	mu sync.Mutex
-	// designs holds each design's queued indices in input order, designs
-	// ordered by their first run.
-	designs [][]int
-	// started counts the designs, a prefix of designs, that some worker
-	// has started.
-	started int
+	// groups holds each group's queued indices in input order, groups
+	// ordered by their first run, and keys each group's key.
+	groups [][]int
+	keys   []any
+	// started marks the groups some worker has started, and ready those
+	// with a finished run.
+	started, ready []bool
 }
 
-func newRunQueue(n int, designOf func(i int) string) *runQueue {
+func newRunQueue(n int, groupOf func(i int) any) *runQueue {
 	q := &runQueue{}
-	id := map[string]int{}
+	id := map[any]int{}
 	for i := range n {
-		name := ""
-		if designOf != nil {
-			name = designOf(i)
-		}
-		d, ok := id[name]
+		key := groupOf(i)
+		g, ok := id[key]
 		if !ok {
-			d = len(q.designs)
-			id[name] = d
-			q.designs = append(q.designs, nil)
+			g = len(q.groups)
+			id[key] = g
+			q.groups = append(q.groups, nil)
+			q.keys = append(q.keys, key)
 		}
-		q.designs[d] = append(q.designs[d], i)
+		q.groups[g] = append(q.groups[g], i)
 	}
+	q.started = make([]bool, len(q.groups))
+	q.ready = make([]bool, len(q.groups))
 	return q
 }
 
-// next returns the index a worker should run after one of design *last
-// (-1 before its first run) and records the index's design in *last; ok
-// is false once every index has been handed out.
-func (q *runQueue) next(last *int) (i int, ok bool) {
+// find returns the group whose key is key, or -1 when key is nil or the
+// batch has no such group.
+func (q *runQueue) find(key any) int {
+	if key == nil {
+		return -1
+	}
+	return slices.Index(q.keys, key)
+}
+
+// next returns the index a worker should run after one of group *g (-1
+// before its first run) and records the index's group in *g; ok is false
+// once every index has been handed out.
+func (q *runQueue) next(g *int) (i int, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	d := *last
-	switch {
-	case d >= 0 && len(q.designs[d]) > 0:
-	case q.started < len(q.designs):
-		d = q.started
-		q.started++
-	default:
-		d = slices.IndexFunc(q.designs, func(ix []int) bool { return len(ix) > 0 })
+	d := *g
+	if d < 0 || len(q.groups[d]) == 0 {
+		if d = slices.Index(q.started, false); d < 0 {
+			if d = q.queued(true); d < 0 {
+				d = q.queued(false)
+			}
+		}
 		if d < 0 {
 			return 0, false
 		}
 	}
-	i, q.designs[d] = q.designs[d][0], q.designs[d][1:]
-	*last = d
+	q.started[d] = true
+	i, q.groups[d] = q.groups[d][0], q.groups[d][1:]
+	*g = d
 	return i, true
+}
+
+// queued returns the first group with queued runs, only among groups
+// with a finished run when ready is set, or -1 when there is none.
+func (q *runQueue) queued(ready bool) int {
+	for g, ix := range q.groups {
+		if len(ix) > 0 && (q.ready[g] || !ready) {
+			return g
+		}
+	}
+	return -1
+}
+
+// done records that a run of group g finished and returns g's key.
+func (q *runQueue) done(g int) any {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.ready[g] = true
+	return q.keys[g]
 }
 
 // ResultsParallel evaluates the given runs across the runner's worker

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"hybridmem/internal/api"
+	"hybridmem/internal/exp"
 	"hybridmem/internal/obs"
 	"hybridmem/internal/telemetry"
 )
@@ -110,6 +111,7 @@ func newMetrics(s *Server) *metrics {
 
 	r.RegisterCounter("hybridmem_sims_total",
 		"Engine simulations actually executed (memo, store and singleflight hits excluded).", &s.sims)
+	exp.RegisterLayoutMetrics(r)
 	m.flightShared = r.Counter("hybridmem_singleflight_shared_total",
 		"Requests that shared another in-flight identical simulation's result.")
 	m.inflightSims = r.Gauge("hybridmem_inflight_sims",

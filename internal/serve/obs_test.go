@@ -9,6 +9,7 @@ import (
 
 	"hybridmem/internal/api"
 	"hybridmem/internal/cluster"
+	"hybridmem/internal/cow"
 	"hybridmem/internal/obs"
 )
 
@@ -234,4 +235,26 @@ func names(spans map[string]map[string]string) []string {
 		out = append(out, n)
 	}
 	return out
+}
+
+// TestMetricsExportLayoutMemo checks that /metrics exports the shared
+// layout memo's counters and that a cold Hybrid2 sweep, after the memo
+// is emptied, moves the build counter.
+func TestMetricsExportLayoutMemo(t *testing.T) {
+	s := newTestServer(t, Options{Parallelism: 2})
+	cow.Reset()
+	before := cow.ReadStats()
+	runJob(t, s, "/v1/sweep", obsSweep())
+	body := get(s.Handler(), "/metrics").Body.String()
+	if err := obs.Lint([]byte(body)); err != nil {
+		t.Fatalf("scrape fails lint: %v", err)
+	}
+	for _, family := range []string{"hybridmem_layout_builds_total", "hybridmem_layout_wait_seconds_total"} {
+		if !strings.Contains(body, "# TYPE "+family+" counter\n") {
+			t.Errorf("/metrics is missing the %s counter", family)
+		}
+	}
+	if cow.ReadStats().Builds == before.Builds {
+		t.Error("a cold Hybrid2 sweep built no layout")
+	}
 }
